@@ -23,7 +23,7 @@ from .semantics import (
     Falsified, Frame, Model, UnknownWorldError, ValidUpTo, Verdict,
     enumerate_frames, enumerate_itf_frames, frame_valid, holds,
     is_bisimulation, is_itf, is_transnt_finite, largest_bisimulation,
-    make_model, model_from_json, model_to_dot, model_to_json, oracle_valid,
+    make_model, model_from_json, model_to_dot, model_to_json, oracle_valid, truth_sets,
 )
 from .sequent import (
     Derivation, Proved, Refuted, SearchResult, SequentState,

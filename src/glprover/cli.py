@@ -2,8 +2,9 @@
 
 Exit statuses: 0 = theorem proved (or check passed), 1 = refuted / rejected
 (countermodel or report emitted), 2 = usage or input error, 3 = resource
-budget exceeded.  Internal self-check failures exit with 4; they indicate an
-engine bug, never bad input.
+budget exceeded.  Failed self-checks of either verdict and any other
+unexpected exception exit with 4; they indicate an engine bug, never bad
+input.  Input nested too deeply for the recursive engine exits with 2.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ def cmd_prove(args) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_ERROR
     if isinstance(result, sequent.Proved):
+        if not sequent.check_derivation(result.derivation, formula):
+            raise InternalCheckError("the derivation found is rejected by the derivation checker")
         print(f"proved: {pretty(formula)}")
         if args.emit_proof:
             d = result.derivation
@@ -135,9 +138,6 @@ def cmd_henkin(args) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_ERROR
-    except InternalCheckError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
     if outcome is None:
         print(f"theorem: {pretty(formula)} (no standard countermodel)")
         return PROVED
@@ -245,6 +245,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
+    except RecursionError:
+        return _fail("input is nested too deeply (recursion limit reached)")
+    except Exception as exc:  # an engine bug must not pass for a verdict
+        import traceback  # only a crash needs it
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 
 

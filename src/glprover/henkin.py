@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError, InternalCheckError
 from .hilbert import conjlist
-from .semantics import Model, holds, is_itf, make_model
+from .semantics import Model, is_itf, make_model, truth_sets
 from .sequent import DEFAULT_MAX_STEPS, Proved, Refuted, search
 from .syntax import Atom, Box, Formula, Not, sort_key, subformulas, subsentences
 
@@ -33,8 +33,8 @@ def consistent(xs, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _consistent_set(fs: frozenset[Formula]) -> bool:
-    return consistent(sorted(fs, key=sort_key))
+def _consistent_set(fs: frozenset[Formula], max_steps: int) -> bool:
+    return consistent(sorted(fs, key=sort_key), max_steps)
 
 
 def no_repetition(xs) -> bool:
@@ -69,7 +69,7 @@ def extend_maximal_consistent(p: Formula, xs) -> FormulaList:
     for q in sorted(subformulas(p), key=sort_key):
         if q in members or Not(q) in members:
             continue
-        if _consistent_set(frozenset(members | {q})):
+        if _consistent_set(frozenset(members | {q}), DEFAULT_MAX_STEPS):
             out.append(q)
             members.add(q)
         else:
@@ -128,7 +128,7 @@ def _enumerate_worlds(p: Formula, max_candidates: int, max_steps: int) -> list[F
         if key in seen:
             continue
         seen.add(key)
-        if _consistent_set(frozenset(candidate)):
+        if _consistent_set(frozenset(candidate), max_steps):
             worlds.append(key)
     worlds.sort(key=lambda lst: tuple(sort_key(q) for q in lst))
     return worlds
@@ -169,7 +169,7 @@ def build_standard_model(
         raise InternalCheckError("truth lemma fails on the standard model")
     for i, members in enumerate(member_sets):
         if Not(p) in members:
-            if holds(model, p, i):
+            if i in truth_sets(model)(p):
                 raise InternalCheckError("standard model does not falsify the target")
             return sm, worlds[i]
     raise InternalCheckError("no world of the standard model contains the negated target")
@@ -179,11 +179,12 @@ def truth_lemma_check(p: Formula, sm: StandardModel) -> bool:
     """Membership coincides with forcing: for every world and every
     subformula of the target, the subformula is a member of the world's list
     iff it holds at the world's index."""
-    for i, members in enumerate(sm.worlds):
-        mset = set(members)
-        for q in subformulas(p):
-            if (q in mset) != holds(sm.model, q, i):
-                return False
+    truth_set = truth_sets(sm.model)
+    member_sets = [set(members) for members in sm.worlds]
+    for q in subformulas(p):
+        forced = truth_set(q)
+        if any((q in mset) != (i in forced) for i, mset in enumerate(member_sets)):
+            return False
     return True
 
 

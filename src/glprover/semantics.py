@@ -1,15 +1,18 @@
 """Finite Kripke models and the semantic ground truth.
 
 Worlds are small naturals.  A valuation lists, per atom, the worlds where the
-atom is true; every (atom, world) pair not listed is false.  On top of the
-forcing evaluator this module provides the frame-class predicates for GL
-(irreflexive transitive finite, and transitive Noetherian restricted to
-finite frames), an exhaustive bounded validity oracle, and bisimulations.
+atom is true; every (atom, world) pair not listed is false.  One evaluator,
+`_eval_mask`, computes the worlds where a formula is true as a bitmask;
+`holds`, `truth_sets` and the exhaustive checks all use it.  This module also
+provides the frame-class predicates for GL (irreflexive transitive finite,
+and transitive Noetherian restricted to finite frames), an exhaustive bounded
+validity oracle, and bisimulations.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -61,40 +64,23 @@ def make_model(worlds, rel, val=None) -> Model:
     return Model(frame, items)
 
 
-def holds(m: Model, f: Formula, w: int) -> bool:
-    """Forcing: is ``f`` true at world ``w`` of model ``m``?
-
-    Box f is true at w iff f is true at every u in the world set with
-    (w, u) in the relation.
-    """
-    if w not in m.frame.worlds:
-        raise UnknownWorldError(f"world {w} is not in the model")
-    if isinstance(f, Falsum):
-        return False
-    if isinstance(f, Verum):
-        return True
-    if isinstance(f, Atom):
-        return w in m.true_worlds(f.name)
-    if isinstance(f, Not):
-        return not holds(m, f.sub, w)
-    if isinstance(f, And):
-        return holds(m, f.left, w) and holds(m, f.right, w)
-    if isinstance(f, Or):
-        return holds(m, f.left, w) or holds(m, f.right, w)
-    if isinstance(f, Imp):
-        return (not holds(m, f.left, w)) or holds(m, f.right, w)
-    if isinstance(f, Iff):
-        return holds(m, f.left, w) == holds(m, f.right, w)
-    if isinstance(f, Box):
-        return all(holds(m, f.sub, u) for u in m.frame.worlds if (w, u) in m.frame.rel)
-    raise TypeError(f"not a formula: {f!r}")
+def _model_masks(m: Model) -> tuple[dict[int, int], int, list[int], dict[str, int]]:
+    """(index, full, succ, val): world ``w`` is bit ``index[w]``, in ascending
+    world order; ``succ[i]`` and ``val[a]`` are the masks of the successors of
+    bit ``i`` and of the worlds where atom ``a`` is true."""
+    index = {w: i for i, w in enumerate(sorted(m.frame.worlds))}
+    succ = [0] * len(index)
+    for x, y in m.frame.rel:
+        succ[index[x]] |= 1 << index[y]
+    val = {a: sum(1 << index[w] for w in ws) for a, ws in m.val}
+    return index, (1 << len(index)) - 1, succ, val
 
 
-# Bitmask evaluator used by the exhaustive checks: world i is bit i.  Computes
-# in one pass the set of worlds where a formula is true.  Must agree with
-# `holds` (property-tested).
+def _eval_mask(f: Formula, full: int, succ: list[int], val_masks: dict[str, int]) -> int:
+    """The formula evaluator: the mask of the worlds where ``f`` is true.
 
-def _eval_mask(f: Formula, full: int, succ: dict[int, list[int]], val_masks: dict[str, int]) -> int:
+    Box f is true at a world iff every successor of it makes f true, i.e. its
+    successor mask has no bit outside the mask of f."""
     if isinstance(f, Falsum):
         return 0
     if isinstance(f, Verum):
@@ -116,23 +102,43 @@ def _eval_mask(f: Formula, full: int, succ: dict[int, list[int]], val_masks: dic
     if isinstance(f, Box):
         sub = _eval_mask(f.sub, full, succ, val_masks)
         mask = 0
-        for w in succ:
-            if all(sub >> u & 1 for u in succ[w]):
-                mask |= 1 << w
+        for i, s in enumerate(succ):
+            if not s & ~sub:
+                mask |= 1 << i
         return mask
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _successors(fr: Frame) -> dict[int, list[int]]:
-    succ: dict[int, list[int]] = {w: [] for w in sorted(fr.worlds)}
-    for x, y in sorted(fr.rel):
-        succ[x].append(y)
-    return succ
+def truth_sets(m: Model) -> Callable[[Formula], frozenset[int]]:
+    """The evaluator bound to one model, which it converts once: maps a
+    formula to the set of worlds of ``m`` where it is true."""
+    index, full, succ, val = _model_masks(m)
+
+    def truth_set(f: Formula) -> frozenset[int]:
+        mask = _eval_mask(f, full, succ, val)
+        return frozenset(w for w, i in index.items() if mask >> i & 1)
+
+    return truth_set
 
 
-def _valuation_masks(atom_names: list[str], n_worlds: int, mask: int) -> dict[str, int]:
-    world_bits = (1 << n_worlds) - 1
-    return {a: (mask >> (i * n_worlds)) & world_bits for i, a in enumerate(atom_names)}
+def holds(m: Model, f: Formula, w: int) -> bool:
+    """Forcing: is ``f`` true at world ``w`` of model ``m``?"""
+    if w not in m.frame.worlds:
+        raise UnknownWorldError(f"world {w} is not in the model")
+    return w in truth_sets(m)(f)
+
+
+def _first_failure(f: Formula, names: list[str], full: int, succ: list[int]):
+    """First valuation of ``names``, by mask (atom i owns bits i*n..i*n+n-1),
+    under which ``f`` is false somewhere: its atom masks and the mask of the
+    worlds where ``f`` is true; None when there is none."""
+    n = len(succ)
+    for mask in range(2 ** (len(names) * n)):
+        val_masks = {a: (mask >> (i * n)) & full for i, a in enumerate(names)}
+        true_mask = _eval_mask(f, full, succ, val_masks)
+        if true_mask != full:
+            return val_masks, true_mask
+    return None
 
 
 def frame_valid(fr: Frame, f: Formula, eval_budget: int = DEFAULT_EVAL_BUDGET) -> bool:
@@ -141,75 +147,69 @@ def frame_valid(fr: Frame, f: Formula, eval_budget: int = DEFAULT_EVAL_BUDGET) -
     if not fr.worlds:
         raise ValueError("frame validity needs a nonempty world set")
     names = sorted(atoms(f))
-    worlds = sorted(fr.worlds)
-    n = len(worlds)
+    n = len(fr.worlds)
     if 2 ** (len(names) * n) * n > eval_budget:
         raise BudgetExceededError(f"frame_valid: 2^({len(names)}*{n}) valuations exceed the budget")
-    # Worlds may be arbitrary naturals; map to bit positions 0..n-1.
-    index = {w: i for i, w in enumerate(worlds)}
-    succ = {index[w]: [index[u] for u in fr.worlds if (w, u) in fr.rel] for w in worlds}
-    full = (1 << n) - 1
-    for mask in range(2 ** (len(names) * n)):
-        val_masks = _valuation_masks(names, n, mask)
-        if _eval_mask(f, full, succ, val_masks) != full:
-            return False
-    return True
+    _, full, succ, _ = _model_masks(Model(fr))
+    return _first_failure(f, names, full, succ) is None
+
+
+# ITF clause violations are tuples (clause, worlds...): (0,) for an empty world
+# set, (1, x) for xRx, (2, x, y, z) for xRy and yRz without xRz.  They are
+# generated in no particular order; sorted, they are in report order.
+_VIOLATION_MESSAGES = (
+    "world set is empty",
+    "relation is reflexive at {1}",
+    "relation is not transitive: {1}R{2} and {2}R{3} but not {1}R{3}",
+)
+
+
+def _itf_violations(fr: Frame):
+    if not fr.worlds:
+        yield (0,)
+    for x in fr.worlds:
+        if (x, x) in fr.rel:
+            yield (1, x)
+    yield from _transitivity_violations(fr)
+
+
+def _transitivity_violations(fr: Frame):
+    for x, y in fr.rel:
+        for z in fr.worlds:
+            if (y, z) in fr.rel and (x, z) not in fr.rel:
+                yield (2, x, y, z)
 
 
 def is_itf(fr: Frame) -> bool:
     """Nonempty, irreflexive, transitive (finiteness is intrinsic here)."""
-    if not fr.worlds:
-        return False
-    if any((x, x) in fr.rel for x in fr.worlds):
-        return False
-    for x, y in fr.rel:
-        for z in fr.worlds:
-            if (y, z) in fr.rel and (x, z) not in fr.rel:
-                return False
-    return True
+    return not any(_itf_violations(fr))
 
 
 def itf_report(fr: Frame) -> list[str]:
     """Clause-level failures of the ITF predicate; empty iff is_itf holds."""
-    problems = []
-    if not fr.worlds:
-        problems.append("world set is empty")
-    for x in sorted(fr.worlds):
-        if (x, x) in fr.rel:
-            problems.append(f"relation is reflexive at {x}")
-    for x, y in sorted(fr.rel):
-        for z in sorted(fr.worlds):
-            if (y, z) in fr.rel and (x, z) not in fr.rel:
-                problems.append(f"relation is not transitive: {x}R{y} and {y}R{z} but not {x}R{z}")
-    return problems
+    return [_VIOLATION_MESSAGES[v[0]].format(*v) for v in sorted(_itf_violations(fr))]
 
 
 def _has_cycle(fr: Frame) -> bool:
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {w: WHITE for w in fr.worlds}
-    succ = _successors(fr)
+    _, _, succ, _ = _model_masks(Model(fr))
+    color = [WHITE] * len(succ)
 
-    def visit(w: int) -> bool:
-        color[w] = GRAY
-        for u in succ[w]:
-            if color[u] == GRAY or (color[u] == WHITE and visit(u)):
+    def visit(i: int) -> bool:
+        color[i] = GRAY
+        for j in range(len(succ)):
+            if succ[i] >> j & 1 and (color[j] == GRAY or (color[j] == WHITE and visit(j))):
                 return True
-        color[w] = BLACK
+        color[i] = BLACK
         return False
 
-    return any(color[w] == WHITE and visit(w) for w in sorted(fr.worlds))
+    return any(color[i] == WHITE and visit(i) for i in range(len(succ)))
 
 
 def is_transnt_finite(fr: Frame) -> bool:
     """Nonempty, transitive and conversely well-founded.  On finite frames
     converse well-foundedness is exactly acyclicity."""
-    if not fr.worlds:
-        return False
-    for x, y in fr.rel:
-        for z in fr.worlds:
-            if (y, z) in fr.rel and (x, z) not in fr.rel:
-                return False
-    return not _has_cycle(fr)
+    return bool(fr.worlds) and not any(_transitivity_violations(fr)) and not _has_cycle(fr)
 
 
 # --- exhaustive bounded validity oracle --------------------------------------
@@ -231,33 +231,27 @@ class Falsified:
 
 Verdict = ValidUpTo | Falsified
 
-# Off-diagonal world pairs in lexicographic order; bit k of a relation mask
-# selects pair k.  Diagonal pairs are omitted: they never occur in an ITF
-# relation, and dropping them preserves the ascending-mask enumeration order.
 
-
-def _offdiag_pairs(n: int) -> list[tuple[int, int]]:
-    return [(x, y) for x in range(n) for y in range(n) if x != y]
+def _frames(n: int, pairs: list[tuple[int, int]]):
+    """Frames on worlds 0..n-1, one per subset of ``pairs``, ascending by
+    relation bitmask (bit k selects pair k)."""
+    worlds = frozenset(range(n))
+    for mask in range(1 << len(pairs)):
+        yield Frame(worlds, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
 
 
 def enumerate_frames(n: int):
     """All frames on worlds 0..n-1, ascending by relation bitmask over the
     lexicographic ordering of all n^2 pairs."""
-    pairs = [(x, y) for x in range(n) for y in range(n)]
-    worlds = frozenset(range(n))
-    for mask in range(1 << len(pairs)):
-        rel = frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
-        yield Frame(worlds, rel)
+    yield from _frames(n, [(x, y) for x in range(n) for y in range(n)])
 
 
 def enumerate_itf_frames(n: int):
     """All ITF frames on worlds 0..n-1, in deterministic ascending order."""
-    pairs = _offdiag_pairs(n)
-    worlds = frozenset(range(n))
-    for mask in range(1 << len(pairs)):
-        fr = Frame(worlds, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
-        if is_itf(fr):
-            yield fr
+    # Diagonal pairs are omitted: they never occur in an ITF relation, and
+    # dropping them preserves the ascending-mask enumeration order.
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    yield from (fr for fr in _frames(n, pairs) if is_itf(fr))
 
 
 def oracle_valid(f: Formula, max_worlds: int, eval_budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
@@ -272,16 +266,14 @@ def oracle_valid(f: Formula, max_worlds: int, eval_budget: int = DEFAULT_EVAL_BU
     if cost > eval_budget:
         raise BudgetExceededError(f"oracle_valid: estimated {cost} evaluations exceed the budget")
     for n in range(1, max_worlds + 1):
-        full = (1 << n) - 1
         for fr in enumerate_itf_frames(n):
-            succ = _successors(fr)
-            for mask in range(2 ** (len(names) * n)):
-                val_masks = _valuation_masks(names, n, mask)
-                true_mask = _eval_mask(f, full, succ, val_masks)
-                if true_mask != full:
-                    w = next(i for i in range(n) if not true_mask >> i & 1)
-                    val = {a: frozenset(i for i in range(n) if val_masks[a] >> i & 1) for a in names}
-                    return Falsified(make_model(fr.worlds, fr.rel, val), w)
+            _, full, succ, _ = _model_masks(Model(fr))
+            failure = _first_failure(f, names, full, succ)
+            if failure is not None:
+                val_masks, true_mask = failure
+                w = next(i for i in range(n) if not true_mask >> i & 1)
+                val = {a: frozenset(i for i in range(n) if val_masks[a] >> i & 1) for a in names}
+                return Falsified(make_model(fr.worlds, fr.rel, val), w)
     return ValidUpTo(max_worlds)
 
 
@@ -294,24 +286,34 @@ def _atom_names(*models: Model) -> list[str]:
     return sorted(names)
 
 
+def _atoms_agree(m1: Model, m2: Model, w1: int, w2: int, names: list[str]) -> bool:
+    return all((w1 in m1.true_worlds(a)) == (w2 in m2.true_worlds(a)) for a in names)
+
+
+def _zig_zag(m1: Model, m2: Model, w1: int, w2: int, Z) -> bool:
+    """Forth and back for the pair (w1, w2): every successor of ``w1`` is
+    related by ``Z`` to some successor of ``w2``, and vice versa."""
+    forth = all(
+        any((w2, u2) in m2.frame.rel and (u1, u2) in Z for u2 in m2.frame.worlds)
+        for u1 in m1.frame.worlds
+        if (w1, u1) in m1.frame.rel
+    )
+    return forth and all(
+        any((w1, u1) in m1.frame.rel and (u1, u2) in Z for u1 in m1.frame.worlds)
+        for u2 in m2.frame.worlds
+        if (w2, u2) in m2.frame.rel
+    )
+
+
 def is_bisimulation(m1: Model, m2: Model, Z: frozenset[tuple[int, int]] | set) -> bool:
     """Do the pairs in ``Z`` satisfy membership, atom agreement, and the
     forth and back conditions?  The empty relation qualifies vacuously."""
     names = _atom_names(m1, m2)
-    for w1, w2 in Z:
-        if w1 not in m1.frame.worlds or w2 not in m2.frame.worlds:
-            return False
-        if any((w1 in m1.true_worlds(a)) != (w2 in m2.true_worlds(a)) for a in names):
-            return False
-        for u1 in m1.frame.worlds:
-            if (w1, u1) in m1.frame.rel:
-                if not any((w2, u2) in m2.frame.rel and (u1, u2) in Z for u2 in m2.frame.worlds):
-                    return False
-        for u2 in m2.frame.worlds:
-            if (w2, u2) in m2.frame.rel:
-                if not any((w1, u1) in m1.frame.rel and (u1, u2) in Z for u1 in m1.frame.worlds):
-                    return False
-    return True
+    return all(
+        w1 in m1.frame.worlds and w2 in m2.frame.worlds
+        and _atoms_agree(m1, m2, w1, w2, names) and _zig_zag(m1, m2, w1, w2, Z)
+        for w1, w2 in Z
+    )
 
 
 def largest_bisimulation(m1: Model, m2: Model) -> frozenset[tuple[int, int]]:
@@ -322,23 +324,10 @@ def largest_bisimulation(m1: Model, m2: Model) -> frozenset[tuple[int, int]]:
         (w1, w2)
         for w1 in m1.frame.worlds
         for w2 in m2.frame.worlds
-        if all((w1 in m1.true_worlds(a)) == (w2 in m2.true_worlds(a)) for a in names)
+        if _atoms_agree(m1, m2, w1, w2, names)
     }
     while True:
-        keep = set()
-        for w1, w2 in Z:
-            forth = all(
-                any((w2, u2) in m2.frame.rel and (u1, u2) in Z for u2 in m2.frame.worlds)
-                for u1 in m1.frame.worlds
-                if (w1, u1) in m1.frame.rel
-            )
-            back = all(
-                any((w1, u1) in m1.frame.rel and (u1, u2) in Z for u1 in m1.frame.worlds)
-                for u2 in m2.frame.worlds
-                if (w2, u2) in m2.frame.rel
-            )
-            if forth and back:
-                keep.add((w1, w2))
+        keep = {(w1, w2) for w1, w2 in Z if _zig_zag(m1, m2, w1, w2, Z)}
         if keep == Z:
             return frozenset(Z)
         Z = keep

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InternalCheckError
-from .semantics import Model, holds, is_itf, make_model
+from .semantics import Model, is_itf, make_model, truth_sets
 from .syntax import (
     And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum,
     parse, pretty, sort_key, subformulas,
@@ -45,13 +45,12 @@ RelAtom = tuple[int, int]
 
 @dataclass(frozen=True)
 class SequentState:
-    """Snapshot of one sequent: relational atoms, labelled formulas on the
-    left and right, and the rule instances already applied on this branch."""
+    """Snapshot of one sequent: relational atoms and labelled formulas on the
+    left and right."""
 
     rel: frozenset[RelAtom]
     left: frozenset[LabelledFormula]
     right: frozenset[LabelledFormula]
-    bookkeeping: frozenset[tuple] = frozenset()
 
     def labels(self) -> frozenset[int]:
         out = set()
@@ -63,9 +62,6 @@ class SequentState:
         for x, _ in self.right:
             out.add(x)
         return frozenset(out)
-
-    def same_sequent(self, other: "SequentState") -> bool:
-        return self.rel == other.rel and self.left == other.left and self.right == other.right
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,8 @@ def _lf_key(item: LabelledFormula) -> tuple:
 
 
 class _Branch:
-    """Mutable working state of one search branch."""
+    """Mutable working state of one search branch, with the rule instances
+    already applied on it (``bookkeeping``)."""
 
     __slots__ = ("rel", "left", "right", "bookkeeping")
 
@@ -122,10 +119,7 @@ class _Branch:
         return _Branch(set(self.rel), set(self.left), set(self.right), set(self.bookkeeping))
 
     def freeze(self) -> SequentState:
-        return SequentState(
-            frozenset(self.rel), frozenset(self.left), frozenset(self.right),
-            frozenset(self.bookkeeping),
-        )
+        return SequentState(frozenset(self.rel), frozenset(self.left), frozenset(self.right))
 
 
 @dataclass
@@ -345,11 +339,12 @@ def extract_countermodel(branch: SequentState, root: int) -> tuple[Model, int]:
     model = make_model(worlds, branch.rel, val)
     if not is_itf(model.frame):
         raise InternalCheckError("open branch did not produce an irreflexive transitive frame")
+    truth_set = truth_sets(model)
     for x, f in branch.left:
-        if not holds(model, f, x):
+        if x not in truth_set(f):
             raise InternalCheckError(f"countermodel fails antecedent {x}:{pretty(f)}")
     for x, f in branch.right:
-        if holds(model, f, x):
+        if x in truth_set(f):
             raise InternalCheckError(f"countermodel satisfies consequent {x}:{pretty(f)}")
     return model, root
 
@@ -362,7 +357,7 @@ def search(f: Formula, max_steps: int = DEFAULT_MAX_STEPS) -> SearchResult:
     outcome = searcher.expand(start)
     if isinstance(outcome, _Open):
         model, world = extract_countermodel(outcome.state, 0)
-        if holds(model, f, world):
+        if world in truth_sets(model)(f):
             raise InternalCheckError("extracted model does not falsify the goal at the root")
         return Refuted(outcome.state, model, world)
     return Proved(outcome)
@@ -482,21 +477,22 @@ def derivation_error(d: Derivation, goal: Formula) -> str | None:
     if root.rel or root.left or root.right != frozenset({(0, goal)}):
         return "root sequent is not  => 0:goal"
 
-    def walk(node: Derivation, path: str) -> str | None:
+    # Depth-first, premises left to right, with an explicit stack: a branch
+    # of the search can be longer than the interpreter's recursion limit.
+    # Each entry carries the sequent its parent's rule expects, if any.
+    stack: list[tuple[Derivation, str, SequentState | None, str]] = [(d, "0", None, "")]
+    while stack:
+        node, path, want, parent_rule = stack.pop()
+        if want is not None and want != node.sequent:
+            return f"node {path}: premise sequent does not match the {parent_rule} schema"
         expected = _expected_premises(node.sequent, node.rule, node.principal)
         if isinstance(expected, str):
             return f"node {path}: {expected}"
         if len(expected) != len(node.premises):
             return f"node {path}: rule {node.rule} needs {len(expected)} premises, has {len(node.premises)}"
-        for k, (want, prem) in enumerate(zip(expected, node.premises)):
-            if not want.same_sequent(prem.sequent):
-                return f"node {path}.{k}: premise sequent does not match the {node.rule} schema"
-            err = walk(prem, f"{path}.{k}")
-            if err:
-                return err
-        return None
-
-    return walk(d, "0")
+        for k in reversed(range(len(expected))):
+            stack.append((node.premises[k], f"{path}.{k}", expected[k], node.rule))
+    return None
 
 
 def check_derivation(d: Derivation, goal: Formula) -> bool:

@@ -1,6 +1,7 @@
 import json
 import pathlib
 
+from glprover import cli, sequent
 from glprover.cli import main
 from glprover.hilbert import proof_to_json, verum_proof
 from glprover.semantics import holds, is_itf, model_from_json, model_to_json
@@ -38,6 +39,30 @@ def test_prove_missing_formula_exit_2():
 def test_prove_budget_exit_3(capsys):
     assert main(["prove", GL_AXIOM, "--max-steps", "2"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_prove_rejected_derivation_exit_4(monkeypatch, capsys):
+    monkeypatch.setattr(sequent, "check_derivation", lambda d, goal: False)
+    assert main(["prove", GL_AXIOM]) == 4
+    out = capsys.readouterr()
+    assert "internal error" in out.err
+    assert "proved" not in out.out
+
+
+def test_prove_deep_nesting_exit_2(capsys):
+    assert main(["prove", "(" * 200 + "p" + ")" * 200]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_unexpected_exception_exit_4(monkeypatch, capsys):
+    def crash(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_prove", crash)
+    assert main(["prove", "p"]) == 4
+    assert "internal error: ValueError: boom" in capsys.readouterr().err
 
 
 def test_prove_formula_from_file(tmp_path):

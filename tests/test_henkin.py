@@ -132,6 +132,16 @@ def test_candidate_budget():
         build_standard_model(f, max_candidates=8)
 
 
+def test_step_budget_reaches_consistency_searches():
+    # the top-level search refutes Box p --> p in one step; deciding the
+    # consistency of a candidate world takes more than four
+    f = parse("Box p --> p")
+    assert isinstance(search(f, max_steps=4), Refuted)
+    with pytest.raises(BudgetExceededError):
+        build_standard_model(f, max_steps=4)
+    assert build_standard_model(f) is not None
+
+
 def test_world_lists_sidecar():
     out = build_standard_model(BOX_FALSE)
     sm, _ = out

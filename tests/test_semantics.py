@@ -9,9 +9,11 @@ from glprover.semantics import (
     enumerate_frames, enumerate_itf_frames, frame_valid, holds,
     is_bisimulation, is_itf, is_transnt_finite, itf_report,
     largest_bisimulation, make_model, model_from_json, model_to_json,
-    oracle_valid, _eval_mask,
+    oracle_valid, truth_sets,
 )
-from glprover.syntax import Atom, Box, FALSE, Imp, Not, Or, TRUE, atoms, modal_depth, parse
+from glprover.syntax import (
+    And, Atom, Box, FALSE, Falsum, Iff, Imp, Not, Or, TRUE, Verum, modal_depth, parse,
+)
 
 P = Atom("p")
 LOB = parse("Box (Box p --> p) --> Box p")
@@ -81,6 +83,20 @@ def test_itf_report_names_clauses():
                for s in itf_report(Frame(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))))
 
 
+def test_itf_report_messages_and_order():
+    fr = Frame(frozenset({0, 1, 2, 5}), frozenset({(0, 0), (0, 1), (1, 2), (2, 0), (5, 5), (2, 5)}))
+    assert itf_report(fr) == [
+        "relation is reflexive at 0",
+        "relation is reflexive at 5",
+        "relation is not transitive: 0R1 and 1R2 but not 0R2",
+        "relation is not transitive: 1R2 and 2R0 but not 1R0",
+        "relation is not transitive: 1R2 and 2R5 but not 1R5",
+        "relation is not transitive: 2R0 and 0R1 but not 2R1",
+    ]
+    assert not is_itf(fr)
+    assert itf_report(Frame(frozenset(), frozenset())) == ["world set is empty"]
+
+
 def test_is_transnt_finite_examples():
     assert not is_transnt_finite(Frame(frozenset({0}), frozenset({(0, 0)})))
     two_cycle = Frame(frozenset({0, 1}), frozenset({(0, 1), (1, 0), (0, 0), (1, 1)}))
@@ -126,20 +142,42 @@ def test_frame_valid_budget():
         frame_valid(fr, f)
 
 
+def reference_holds(m, f, w) -> bool:
+    """Forcing by its recursive definition, one world at a time; the
+    reference the bitmask evaluator is checked against."""
+    if isinstance(f, Falsum):
+        return False
+    if isinstance(f, Verum):
+        return True
+    if isinstance(f, Atom):
+        return w in m.true_worlds(f.name)
+    if isinstance(f, Not):
+        return not reference_holds(m, f.sub, w)
+    if isinstance(f, And):
+        return reference_holds(m, f.left, w) and reference_holds(m, f.right, w)
+    if isinstance(f, Or):
+        return reference_holds(m, f.left, w) or reference_holds(m, f.right, w)
+    if isinstance(f, Imp):
+        return (not reference_holds(m, f.left, w)) or reference_holds(m, f.right, w)
+    if isinstance(f, Iff):
+        return reference_holds(m, f.left, w) == reference_holds(m, f.right, w)
+    if isinstance(f, Box):
+        return all(reference_holds(m, f.sub, u) for u in m.frame.worlds if (w, u) in m.frame.rel)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def test_mask_evaluator_agrees_with_holds():
     rng = random.Random(23)
-    for _ in range(300):
+    for k in range(300):
         m = random_model(rng)
+        if k % 2:  # the same shape on arbitrary, non-contiguous world numbers
+            rename = dict(zip(sorted(m.frame.worlds), rng.sample(range(50), len(m.frame.worlds))))
+            m = make_model(rename.values(), [(rename[x], rename[y]) for x, y in m.frame.rel],
+                           {a: [rename[w] for w in ws] for a, ws in m.val})
         f = random_formula(rng, max_connectives=6)
-        worlds = sorted(m.frame.worlds)
-        index = {w: i for i, w in enumerate(worlds)}
-        succ = {index[w]: [index[u] for u in worlds if (w, u) in m.frame.rel] for w in worlds}
-        val_masks = {
-            a: sum(1 << index[w] for w in m.true_worlds(a)) for a in atoms(f)
-        }
-        mask = _eval_mask(f, (1 << len(worlds)) - 1, succ, val_masks)
-        for w in worlds:
-            assert bool(mask >> index[w] & 1) == holds(m, f, w)
+        truth_set = truth_sets(m)(f)
+        for w in m.frame.worlds:
+            assert (w in truth_set) == reference_holds(m, f, w) == holds(m, f, w)
 
 
 def test_is_bisimulation_empty_and_identity():

@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 
 from glprover.errors import BudgetExceededError
 from glprover.semantics import Falsified, holds, is_itf, oracle_valid
 from glprover.sequent import (
-    Derivation, INIT, LEAF_RULES, Proved, RBOXLOB, Refuted, SequentState,
+    Derivation, INIT, LBOX, LEAF_RULES, Proved, RBOXLOB, RIMP, Refuted, SequentState,
     TWO_PREMISE_RULES, check_derivation, derivation_error,
     derivation_from_json, derivation_to_dot, derivation_to_json,
     derivation_to_text, extract_countermodel, search,
@@ -163,6 +165,23 @@ def test_checker_rejects_wrong_root():
     result = search(parse("q --> q"))
     assert isinstance(result, Proved)
     assert not check_derivation(result.derivation, P)
+
+
+def test_checker_accepts_derivation_deeper_than_recursion_limit():
+    # Box p --> Box p through RBoxLob and one LBox instance, repeated: the
+    # repetitions leave the sequent unchanged, which the LBox schema allows
+    goal = parse("Box p --> Box p")
+    bp = Box(P)
+    s1 = SequentState(frozenset(), frozenset({(0, bp)}), frozenset({(0, bp)}))
+    s2 = SequentState(frozenset({(0, 1)}), frozenset({(0, bp), (1, bp)}), frozenset({(1, P)}))
+    s3 = SequentState(s2.rel, s2.left | {(1, P)}, s2.right)
+    node = Derivation(s3, INIT, (1, P))
+    for _ in range(2 * sys.getrecursionlimit()):
+        node = Derivation(s3, LBOX, (0, bp, 1), (node,))
+    node = Derivation(s2, LBOX, (0, bp, 1), (node,))
+    node = Derivation(s1, RBOXLOB, (0, bp, 1), (node,))
+    root = Derivation(SequentState(frozenset(), frozenset(), frozenset({(0, goal)})), RIMP, (0, goal), (node,))
+    assert derivation_error(root, goal) is None
 
 
 def test_derivation_serialization_roundtrip():

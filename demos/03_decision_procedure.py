@@ -29,5 +29,6 @@ for name, text in principles:
     print(f"proved ({name}):  {text}")
 
 print("\nderivation of the basic Loeb instance Box (Box False --> False) --> Box False:\n")
-result = search(parse("Box (Box False --> False) --> Box False"))
-print(derivation_to_text(result.derivation))
+lob = parse("Box (Box False --> False) --> Box False")
+result = search(lob)
+print(derivation_to_text(result.derivation, lob))

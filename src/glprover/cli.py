@@ -62,17 +62,17 @@ def cmd_prove(args) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_ERROR
     if isinstance(result, sequent.Proved):
-        if not sequent.check_derivation(result.derivation, formula):
+        d = result.derivation
+        if not sequent.check_derivation(d, formula):
             raise InternalCheckError("the derivation found is rejected by the derivation checker")
+        render = {"structured": sequent.derivation_to_json, "graph": sequent.derivation_to_dot,
+                  "text": sequent.derivation_to_text}[args.format]
+        try:
+            text = render(d, formula) if args.emit_proof else None
+        except RecursionError:  # only json.dumps recurses, once per nesting level
+            return _fail("derivation too deeply nested for --format structured; use text or graph")
         print(f"proved: {pretty(formula)}")
-        if args.emit_proof:
-            d = result.derivation
-            if args.format == "structured":
-                _emit(sequent.derivation_to_json(d), args.emit_proof)
-            elif args.format == "graph":
-                _emit(sequent.derivation_to_dot(d), args.emit_proof)
-            else:
-                _emit(sequent.derivation_to_text(d), args.emit_proof)
+        _emit(text, args.emit_proof)
         return PROVED
     print(f"refuted: {pretty(formula)} (countermodel with "
           f"{len(result.countermodel.frame.worlds)} worlds, false at world {result.falsified_at})")
@@ -199,20 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-countermodel", metavar="PATH", help="write the countermodel to PATH ('-' for stdout)")
     p.add_argument("--format", choices=("text", "structured", "graph"), default="text")
     p.add_argument("--max-steps", type=int, default=sequent.DEFAULT_MAX_STEPS)
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("check-model", help="check a formula in a model file")
     p.add_argument("model", help="model file (JSON)")
     p.add_argument("formula")
     p.add_argument("world", type=int)
-    p.set_defaults(func=cmd_check_model)
 
     p = sub.add_parser("oracle", help="exhaustive bounded ITF validity check")
     add_formula_args(p)
     p.add_argument("--max-worlds", type=int, required=True)
     p.add_argument("--eval-budget", type=int, default=semantics.DEFAULT_EVAL_BUDGET)
     p.add_argument("--emit-countermodel", metavar="PATH")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("henkin", help="standard countermodel from maximal consistent lists")
     add_formula_args(p)
@@ -220,29 +217,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse when 2^(number of subformulas) exceeds this ceiling")
     p.add_argument("--emit-model", metavar="PATH")
     p.add_argument("--emit-worlds", metavar="PATH", help="write the index-to-list sidecar")
-    p.set_defaults(func=cmd_henkin)
 
     p = sub.add_parser("bisim", help="largest bisimulation between two model files")
     p.add_argument("model_a")
     p.add_argument("model_b")
-    p.set_defaults(func=cmd_bisim)
 
     p = sub.add_parser("check-proof", help="check a Hilbert-style proof file")
     p.add_argument("proof")
-    p.set_defaults(func=cmd_check_proof)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching our table; re-raise others
         return USAGE_ERROR if exc.code else 0
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_<command> takes effect
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

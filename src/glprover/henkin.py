@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BudgetExceededError, InternalCheckError
 from .hilbert import conjlist
@@ -30,11 +29,6 @@ def consistent(xs, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
     """A list is consistent when the negation of its conjunction is not a
     theorem; the sequent prover decides theoremhood."""
     return isinstance(search(Not(conjlist(xs)), max_steps), Refuted)
-
-
-@lru_cache(maxsize=None)
-def _consistent_set(fs: frozenset[Formula], max_steps: int) -> bool:
-    return consistent(sorted(fs, key=sort_key), max_steps)
 
 
 def no_repetition(xs) -> bool:
@@ -69,7 +63,7 @@ def extend_maximal_consistent(p: Formula, xs) -> FormulaList:
     for q in sorted(subformulas(p), key=sort_key):
         if q in members or Not(q) in members:
             continue
-        if _consistent_set(frozenset(members | {q}), DEFAULT_MAX_STEPS):
+        if consistent(sorted(members | {q}, key=sort_key)):
             out.append(q)
             members.add(q)
         else:
@@ -128,7 +122,7 @@ def _enumerate_worlds(p: Formula, max_candidates: int, max_steps: int) -> list[F
         if key in seen:
             continue
         seen.add(key)
-        if _consistent_set(frozenset(candidate), max_steps):
+        if consistent(sorted(candidate, key=sort_key), max_steps):
             worlds.append(key)
     worlds.sort(key=lambda lst: tuple(sort_key(q) for q in lst))
     return worlds

@@ -9,8 +9,9 @@ the best candidate under a fixed ordering heuristic.  A branch that saturates
 without closing yields a finite irreflexive-transitive countermodel, which is
 validated semantically before being returned.
 
-A derivation checker revalidates every node of a proof tree against the rule
-schemas, independently of the search bookkeeping.
+A derivation is its rule tree.  One replay walk rebuilds each node's sequent
+from the root ``=> 0:goal`` through the rule schemas, independently of the
+search; the checker, the loader and the serializers all read the tree by it.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ class SequentState:
 
 @dataclass(frozen=True)
 class Derivation:
-    """Rule-annotated proof tree node; ``sequent`` is the conclusion."""
+    """Proof tree node; its sequent is replayed from the root ``=> 0:goal``."""
 
-    sequent: SequentState
     rule: str
     principal: tuple
     premises: tuple["Derivation", ...] = ()
@@ -259,21 +259,19 @@ class _Searcher:
     # -- the search loop --
 
     def expand(self, br: _Branch):
-        segments: list[tuple[SequentState, str, tuple]] = []
+        segments: list[tuple[str, tuple]] = []
 
         def wrap(node: Derivation) -> Derivation:
-            for snap, rule, principal in reversed(segments):
-                node = Derivation(snap, rule, principal, (node,))
+            for rule, principal in reversed(segments):
+                node = Derivation(rule, principal, (node,))
             return node
 
         while True:
-            snap = br.freeze()
-
             closed = self.find_close(br)
             if closed is not None:
                 rule, principal = closed
                 self.tick()
-                return wrap(Derivation(snap, rule, principal))
+                return wrap(Derivation(rule, principal))
 
             prop = self.find_prop(br)
             if prop is not None:
@@ -286,9 +284,9 @@ class _Searcher:
                         if isinstance(outcome, _Open):
                             return outcome
                         premises.append(outcome)
-                    return wrap(Derivation(snap, rule, principal, tuple(premises)))
+                    return wrap(Derivation(rule, principal, tuple(premises)))
                 self.apply_prop(br, rule, principal)
-                segments.append((snap, rule, principal))
+                segments.append((rule, principal))
                 continue
 
             trans = self.find_trans(br)
@@ -296,7 +294,7 @@ class _Searcher:
                 x, y, z = trans
                 self.tick()
                 br.rel.add((x, z))
-                segments.append((snap, TRANS, trans))
+                segments.append((TRANS, trans))
                 continue
 
             lbox = self.find_lbox(br)
@@ -305,7 +303,7 @@ class _Searcher:
                 self.tick()
                 br.left.add((y, f.sub))
                 br.bookkeeping.add(("LBox", x, f, y))
-                segments.append((snap, LBOX, lbox))
+                segments.append((LBOX, lbox))
                 continue
 
             rbox = self.find_rboxlob(br)
@@ -319,10 +317,10 @@ class _Searcher:
                 br.right.discard(rbox)
                 br.right.add((y, f.sub))
                 br.bookkeeping.add(("RBoxLob", x, f))
-                segments.append((snap, RBOXLOB, (x, f, y)))
+                segments.append((RBOXLOB, (x, f, y)))
                 continue
 
-            return _Open(snap)
+            return _Open(br.freeze())
 
 
 def extract_countermodel(branch: SequentState, root: int) -> tuple[Model, int]:
@@ -470,28 +468,33 @@ def _expected_premises(s: SequentState, rule: str, principal: tuple) -> list[Seq
     return f"unknown rule {rule!r}"
 
 
+def _replay(d: Derivation, goal: Formula):
+    """Yield ``(depth, node, sequent)`` in preorder, premises left to right,
+    each premise's sequent forced by its parent's rule instance from the root
+    ``=> 0:goal`` on; raise ValueError("node <path>: ...") at the first schema
+    violation.  Iterative: a search branch can outgrow the recursion limit."""
+    root = SequentState(frozenset(), frozenset(), frozenset({(0, goal)}))
+    stack: list[tuple[Derivation, str, int, SequentState]] = [(d, "0", 0, root)]
+    while stack:
+        node, path, depth, s = stack.pop()
+        yield depth, node, s
+        expected = _expected_premises(s, node.rule, node.principal)
+        if isinstance(expected, str):
+            raise ValueError(f"node {path}: {expected}")
+        if len(expected) != len(node.premises):
+            raise ValueError(f"node {path}: rule {node.rule} needs {len(expected)} premises, has {len(node.premises)}")
+        for k in reversed(range(len(expected))):
+            stack.append((node.premises[k], f"{path}.{k}", depth + 1, expected[k]))
+
+
 def derivation_error(d: Derivation, goal: Formula) -> str | None:
     """First schema violation in the tree, or None if the derivation is a
     correct proof of ``=> 0:goal``."""
-    root = d.sequent
-    if root.rel or root.left or root.right != frozenset({(0, goal)}):
-        return "root sequent is not  => 0:goal"
-
-    # Depth-first, premises left to right, with an explicit stack: a branch
-    # of the search can be longer than the interpreter's recursion limit.
-    # Each entry carries the sequent its parent's rule expects, if any.
-    stack: list[tuple[Derivation, str, SequentState | None, str]] = [(d, "0", None, "")]
-    while stack:
-        node, path, want, parent_rule = stack.pop()
-        if want is not None and want != node.sequent:
-            return f"node {path}: premise sequent does not match the {parent_rule} schema"
-        expected = _expected_premises(node.sequent, node.rule, node.principal)
-        if isinstance(expected, str):
-            return f"node {path}: {expected}"
-        if len(expected) != len(node.premises):
-            return f"node {path}: rule {node.rule} needs {len(expected)} premises, has {len(node.premises)}"
-        for k in reversed(range(len(expected))):
-            stack.append((node.premises[k], f"{path}.{k}", expected[k], node.rule))
+    try:
+        for _ in _replay(d, goal):
+            pass
+    except ValueError as exc:
+        return str(exc)
     return None
 
 
@@ -529,36 +532,50 @@ def _sequent_to_dict(s: SequentState) -> dict:
     }
 
 
-def _sequent_from_dict(doc: dict) -> SequentState:
-    return SequentState(
-        frozenset((int(x), int(y)) for x, y in doc["rel"]),
-        frozenset((int(x), parse(f)) for x, f in doc["left"]),
-        frozenset((int(x), parse(f)) for x, f in doc["right"]),
-    )
+def derivation_to_dict(d: Derivation, goal: Formula) -> dict:
+    """Nested document of a derivation of ``=> 0:goal``, with replayed sequents."""
+    open_nodes: list[dict] = []  # the document's nodes from the root down
+    for depth, node, s in _replay(d, goal):
+        doc = {
+            "rule": node.rule,
+            "principal": _principal_to_list(node.rule, node.principal),
+            "sequent": _sequent_to_dict(s),
+            "premises": [],
+        }
+        del open_nodes[depth:]
+        if open_nodes:
+            open_nodes[-1]["premises"].append(doc)
+        open_nodes.append(doc)
+    return open_nodes[0]
 
 
-def derivation_to_dict(d: Derivation) -> dict:
-    return {
-        "rule": d.rule,
-        "principal": _principal_to_list(d.rule, d.principal),
-        "sequent": _sequent_to_dict(d.sequent),
-        "premises": [derivation_to_dict(p) for p in d.premises],
-    }
+def derivation_to_json(d: Derivation, goal: Formula) -> str:
+    return json.dumps(derivation_to_dict(d, goal), indent=2, sort_keys=True) + "\n"
 
 
-def derivation_to_json(d: Derivation) -> str:
-    return json.dumps(derivation_to_dict(d), indent=2, sort_keys=True) + "\n"
+def _tree_from_dict(doc: dict) -> Derivation:
+    # Recursive, one frame per level: json.loads already bounds the nesting,
+    # two JSON levels per derivation level, below the recursion limit.
+    rule = doc["rule"]
+    principal = _principal_from_list(rule, doc["principal"])
+    premises = []
+    for p in doc["premises"]:
+        premises.append(_tree_from_dict(p))
+    return Derivation(rule, principal, tuple(premises))
 
 
 def derivation_from_dict(doc: dict) -> Derivation:
+    """Read a derivation document's rule tree; the goal is the root's stated
+    ``=> 0:A``.  The document must be the tree's canonical rendering for that
+    goal, so every stated sequent is checked against the replay."""
     try:
-        rule = doc["rule"]
-        principal = _principal_from_list(rule, doc["principal"])
-        sequent = _sequent_from_dict(doc["sequent"])
-        premises = tuple(derivation_from_dict(p) for p in doc["premises"])
+        goal = parse(doc["sequent"]["right"][0][1])
+        d = _tree_from_dict(doc)
+        if derivation_to_dict(d, goal) != doc:
+            raise ValueError("the stated sequents are not the replayed ones")
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed derivation document: {exc}") from None
-    return Derivation(sequent, rule, principal, premises)
+    return d
 
 
 def derivation_from_json(text: str) -> Derivation:
@@ -576,35 +593,27 @@ def _sequent_to_text(s: SequentState) -> str:
     return ", ".join(ante) + " => " + ", ".join(cons)
 
 
-def derivation_to_text(d: Derivation) -> str:
-    """Human-readable indented rendering of a derivation tree."""
+def derivation_to_text(d: Derivation, goal: Formula) -> str:
+    """Human-readable indented rendering of a derivation of ``=> 0:goal``."""
     lines: list[str] = []
-
-    def walk(node: Derivation, depth: int):
+    for depth, node, s in _replay(d, goal):
         principal = ",".join(str(v) for v in _principal_to_list(node.rule, node.principal))
-        lines.append("  " * depth + f"{node.rule}[{principal}]  {_sequent_to_text(node.sequent)}")
-        for p in node.premises:
-            walk(p, depth + 1)
-
-    walk(d, 0)
+        lines.append("  " * depth + f"{node.rule}[{principal}]  {_sequent_to_text(s)}")
     return "\n".join(lines) + "\n"
 
 
-def derivation_to_dot(d: Derivation) -> str:
-    """Graph description of a derivation tree, one node per rule application."""
+def derivation_to_dot(d: Derivation, goal: Formula) -> str:
+    """Graph description of a derivation of ``=> 0:goal``, one node per rule
+    application; the edge into a node follows the node's whole subtree."""
     lines = ["digraph derivation {"]
-    counter = [0]
-
-    def walk(node: Derivation) -> int:
-        nid = counter[0]
-        counter[0] += 1
-        label = f"{node.rule}: {_sequent_to_text(node.sequent)}".replace('"', "'")
+    open_ids: list[int] = []  # ids of the nodes from the root down
+    for nid, (depth, node, s) in enumerate(_replay(d, goal)):
+        while len(open_ids) > depth:  # the subtrees ending here, deepest first
+            child = open_ids.pop()
+            lines.append(f"  n{open_ids[-1]} -> n{child};")
+        label = f"{node.rule}: {_sequent_to_text(s)}".replace('"', "'")
         lines.append(f'  n{nid} [label="{label}"];')
-        for p in node.premises:
-            pid = walk(p)
-            lines.append(f"  n{nid} -> n{pid};")
-        return nid
-
-    walk(d)
+        open_ids.append(nid)
+    lines += [f"  n{parent} -> n{child};" for parent, child in zip(open_ids[-2::-1], open_ids[:0:-1])]
     lines.append("}")
     return "\n".join(lines) + "\n"

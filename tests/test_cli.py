@@ -49,6 +49,19 @@ def test_prove_rejected_derivation_exit_4(monkeypatch, capsys):
     assert "proved" not in out.out
 
 
+def test_prove_structured_too_deep_exit_2_without_verdict(monkeypatch, tmp_path, capsys):
+    def too_deep(d, goal):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(sequent, "derivation_to_json", too_deep)
+    out = tmp_path / "proof.json"
+    assert main(["prove", GL_AXIOM, "--emit-proof", str(out), "--format", "structured"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: derivation too deeply nested for --format structured; use text or graph\n"
+    assert not out.exists()
+
+
 def test_prove_deep_nesting_exit_2(capsys):
     assert main(["prove", "(" * 200 + "p" + ")" * 200]) == 2
     err = capsys.readouterr().err

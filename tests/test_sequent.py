@@ -1,3 +1,5 @@
+import copy
+import json
 import sys
 
 import pytest
@@ -5,12 +7,12 @@ import pytest
 from glprover.errors import BudgetExceededError
 from glprover.semantics import Falsified, holds, is_itf, oracle_valid
 from glprover.sequent import (
-    Derivation, INIT, LBOX, LEAF_RULES, Proved, RBOXLOB, RIMP, Refuted, SequentState,
+    Derivation, INIT, LBOX, LEAF_RULES, Proved, RBOXLOB, RIMP, Refuted,
     TWO_PREMISE_RULES, check_derivation, derivation_error,
     derivation_from_json, derivation_to_dot, derivation_to_json,
     derivation_to_text, extract_countermodel, search,
 )
-from glprover.syntax import Atom, Box, FALSE, parse
+from glprover.syntax import Atom, Box, FALSE, parse, sort_key
 
 P = Atom("p")
 
@@ -130,18 +132,8 @@ def test_fresh_labels_strictly_increase():
 
 
 def _relabel(node: Derivation, mapping) -> Derivation:
-    def relabel_state(s: SequentState) -> SequentState:
-        return SequentState(
-            frozenset((mapping.get(x, x), mapping.get(y, y)) for x, y in s.rel),
-            frozenset((mapping.get(x, x), g) for x, g in s.left),
-            frozenset((mapping.get(x, x), g) for x, g in s.right),
-        )
-
     principal = tuple(mapping.get(v, v) if isinstance(v, int) else v for v in node.principal)
-    return Derivation(
-        relabel_state(node.sequent), node.rule, principal,
-        tuple(_relabel(p, mapping) for p in node.premises),
-    )
+    return Derivation(node.rule, principal, tuple(_relabel(p, mapping) for p in node.premises))
 
 
 def test_checker_rejects_freshness_violation():
@@ -155,9 +147,7 @@ def test_checker_rejects_freshness_violation():
 
 
 def test_checker_rejects_unfounded_init():
-    node = Derivation(
-        SequentState(frozenset(), frozenset(), frozenset({(0, P)})), INIT, (0, P)
-    )
+    node = Derivation(INIT, (0, P))
     assert not check_derivation(node, P)
 
 
@@ -172,28 +162,63 @@ def test_checker_accepts_derivation_deeper_than_recursion_limit():
     # repetitions leave the sequent unchanged, which the LBox schema allows
     goal = parse("Box p --> Box p")
     bp = Box(P)
-    s1 = SequentState(frozenset(), frozenset({(0, bp)}), frozenset({(0, bp)}))
-    s2 = SequentState(frozenset({(0, 1)}), frozenset({(0, bp), (1, bp)}), frozenset({(1, P)}))
-    s3 = SequentState(s2.rel, s2.left | {(1, P)}, s2.right)
-    node = Derivation(s3, INIT, (1, P))
-    for _ in range(2 * sys.getrecursionlimit()):
-        node = Derivation(s3, LBOX, (0, bp, 1), (node,))
-    node = Derivation(s2, LBOX, (0, bp, 1), (node,))
-    node = Derivation(s1, RBOXLOB, (0, bp, 1), (node,))
-    root = Derivation(SequentState(frozenset(), frozenset(), frozenset({(0, goal)})), RIMP, (0, goal), (node,))
+    node = Derivation(INIT, (1, P))
+    for _ in range(2 * sys.getrecursionlimit() + 1):
+        node = Derivation(LBOX, (0, bp, 1), (node,))
+    node = Derivation(RBOXLOB, (0, bp, 1), (node,))
+    root = Derivation(RIMP, (0, goal), (node,))
     assert derivation_error(root, goal) is None
+
+    nodes = 2 * sys.getrecursionlimit() + 4
+    lines = derivation_to_text(root, goal).splitlines()
+    assert len(lines) == nodes
+    assert lines[0] == "RImp[0,Box p --> Box p]   => 0:Box p --> Box p"
+    assert lines[-1].startswith("  " * (nodes - 1) + "Init[1,p]  0R1, ")
+    dot = derivation_to_dot(root, goal).splitlines()
+    edges = [line for line in dot if " -> " in line]
+    assert edges[0] == f"  n{nodes - 2} -> n{nodes - 1};" and edges[-1] == "  n0 -> n1;"
+    assert len(edges) == nodes - 1 and len(dot) == 2 * nodes + 1
 
 
 def test_derivation_serialization_roundtrip():
     f = parse("Box (p <-> q) --> (Box p <-> Box q)")
     result = search(f)
     assert isinstance(result, Proved)
-    text = derivation_to_json(result.derivation)
+    text = derivation_to_json(result.derivation, f)
     back = derivation_from_json(text)
     assert check_derivation(back, f)
-    assert derivation_to_json(back) == text
-    assert derivation_to_text(result.derivation).startswith("RImp")
-    assert derivation_to_dot(result.derivation).startswith("digraph")
+    assert derivation_to_json(back, f) == text
+    assert derivation_to_text(result.derivation, f).startswith("RImp")
+    assert derivation_to_dot(result.derivation, f).startswith("digraph")
+
+
+def _accepted(doc: dict, goal) -> bool:
+    try:
+        d = derivation_from_json(json.dumps(doc))
+    except ValueError:
+        return False
+    return check_derivation(d, goal)
+
+
+def test_loader_checks_every_stated_sequent():
+    f = parse("Box (Box p --> p) --> Box p")
+    result = search(f)
+    assert isinstance(result, Proved)
+    doc = json.loads(derivation_to_json(result.derivation, f))
+    assert _accepted(doc, f)
+
+    altered = copy.deepcopy(doc)
+    altered["premises"][0]["sequent"]["rel"].append([5, 6])
+    assert not _accepted(altered, f)
+
+    weakened = copy.deepcopy(doc)
+    stack = [weakened]
+    while stack:
+        node = stack.pop()
+        left = node["sequent"]["left"] + [[0, "q"]]
+        node["sequent"]["left"] = sorted(left, key=lambda item: (item[0], sort_key(parse(item[1]))))
+        stack.extend(node["premises"])
+    assert not _accepted(weakened, f)
 
 
 def test_derivation_json_malformed():

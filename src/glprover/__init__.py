@@ -25,12 +25,11 @@ from .semantics import (
     is_bisimulation, is_itf, is_transnt_finite, largest_bisimulation,
     make_model, model_from_json, model_to_dot, model_to_json, oracle_valid, truth_sets,
 )
-from .sequent import (
-    Derivation, Proved, Refuted, SearchResult, SequentState,
-    check_derivation, derivation_error, derivation_from_json,
-    derivation_to_dot, derivation_to_json, derivation_to_text,
-    extract_countermodel, search,
+from .derivation import (
+    Derivation, SequentState, check_derivation, derivation_error,
+    derivation_from_json, derivation_to_dot, derivation_to_json, derivation_to_text,
 )
+from .sequent import Proved, Refuted, SearchResult, extract_countermodel, search
 from .syntax import (
     And, Atom, Box, Diam, FALSE, Falsum, Formula, Iff, Imp, Not, Or,
     ParseError, TRUE, Verum, atoms, modal_depth, parse, pretty, sort_key,

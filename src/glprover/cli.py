@@ -134,7 +134,8 @@ def cmd_henkin(args) -> int:
     if formula is None:
         return status
     try:
-        outcome = henkin.build_standard_model(formula, max_candidates=args.eval_budget)
+        outcome = henkin.build_standard_model(formula, max_candidates=args.eval_budget,
+                                              max_steps=args.max_steps)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_ERROR
@@ -215,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_formula_args(p)
     p.add_argument("--eval-budget", type=int, default=henkin.DEFAULT_CANDIDATE_BUDGET,
                    help="refuse when 2^(number of subformulas) exceeds this ceiling")
+    p.add_argument("--max-steps", type=int, default=sequent.DEFAULT_MAX_STEPS,
+                   help="rule applications allowed to each proof search")
     p.add_argument("--emit-model", metavar="PATH")
     p.add_argument("--emit-worlds", metavar="PATH", help="write the index-to-list sidecar")
 

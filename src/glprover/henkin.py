@@ -27,7 +27,9 @@ FormulaList = tuple[Formula, ...]
 
 def consistent(xs, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
     """A list is consistent when the negation of its conjunction is not a
-    theorem; the sequent prover decides theoremhood."""
+    theorem; the sequent prover decides theoremhood.  ``max_steps`` bounds
+    that search, here and in every function that decides consistency:
+    BudgetExceededError when it runs out."""
     return isinstance(search(Not(conjlist(xs)), max_steps), Refuted)
 
 
@@ -36,19 +38,19 @@ def no_repetition(xs) -> bool:
     return len(set(xs)) == len(xs)
 
 
-def is_maximal_consistent(p: Formula, xs) -> bool:
+def is_maximal_consistent(p: Formula, xs, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
     """Consistent, repetition-free, and containing each subformula of ``p``
     or its negation."""
     xs = list(xs)
     if not no_repetition(xs):
         return False
-    if not consistent(xs):
+    if not consistent(xs, max_steps):
         return False
     members = set(xs)
     return all(q in members or Not(q) in members for q in subformulas(p))
 
 
-def extend_maximal_consistent(p: Formula, xs) -> FormulaList:
+def extend_maximal_consistent(p: Formula, xs, max_steps: int = DEFAULT_MAX_STEPS) -> FormulaList:
     """Extend a consistent list of subsentences of ``p`` to a maximal
     consistent one, deciding each missing subformula in ascending formula
     order: keep it if that stays consistent, otherwise keep its negation."""
@@ -56,14 +58,14 @@ def extend_maximal_consistent(p: Formula, xs) -> FormulaList:
     sub = subsentences(p)
     if any(q not in sub for q in xs):
         raise ValueError("every member must be a subsentence of the target formula")
-    if not consistent(xs):
+    if not consistent(xs, max_steps):
         raise ValueError("the initial list must be consistent")
     out = list(xs)
     members = set(out)
     for q in sorted(subformulas(p), key=sort_key):
         if q in members or Not(q) in members:
             continue
-        if consistent(sorted(members | {q}, key=sort_key)):
+        if consistent(sorted(members | {q}, key=sort_key), max_steps):
             out.append(q)
             members.add(q)
         else:
@@ -79,14 +81,14 @@ def _standard_rel_core(w: set[Formula], x: set[Formula]) -> bool:
     return any(isinstance(f, Box) and Not(f) in w for f in x)
 
 
-def gl_standard_rel(p: Formula, w, x) -> bool:
+def gl_standard_rel(p: Formula, w, x, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
     """Accessibility between maximal consistent lists: boxed members of ``w``
     transfer to ``x`` together with their bodies, and ``x`` owns a boxed
     member whose negation is in ``w``."""
     w, x = list(w), list(x)
     sub = subsentences(p)
     for side in (w, x):
-        if any(q not in sub for q in side) or not is_maximal_consistent(p, side):
+        if any(q not in sub for q in side) or not is_maximal_consistent(p, side, max_steps):
             return False
     return _standard_rel_core(set(w), set(x))
 

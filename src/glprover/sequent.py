@@ -9,69 +9,34 @@ the best candidate under a fixed ordering heuristic.  A branch that saturates
 without closing yields a finite irreflexive-transitive countermodel, which is
 validated semantically before being returned.
 
-A derivation is its rule tree.  One replay walk rebuilds each node's sequent
-from the root ``=> 0:goal`` through the rule schemas, independently of the
-search; the checker, the loader and the serializers all read the tree by it.
+Each step is indexed: a branch keeps the instances its rules could fire
+(closures found as formulas arrive, compound formulas per side, heaps of
+Trans and LBox instances fed as relational atoms and left boxes arrive), so
+selecting the next rule never scans the whole sequent or relation.  The
+rule sequence is the one the fixed ordering defines; the indexes only find
+it faster.
+
+The search returns a rule tree; the derivation module checks and writes it,
+independently of the search, and its functions are re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
+from .derivation import (  # noqa: F401 -- re-exported: the CLI reaches them here
+    INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR, RAND, RBOXLOB, RIMP,
+    RNOT, ROR, RTOP, TRANS, TWO_PREMISE_RULES, Derivation, LabelledFormula, RelAtom,
+    SequentState, _components, _lf_key, check_derivation, derivation_error,
+    derivation_from_dict, derivation_from_json, derivation_to_dict, derivation_to_dot,
+    derivation_to_json, derivation_to_text,
+)
 from .errors import BudgetExceededError, InternalCheckError
 from .semantics import Model, is_itf, make_model, truth_sets
-from .syntax import (
-    And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum,
-    parse, pretty, sort_key, subformulas,
-)
+from .syntax import And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, pretty, sort_key, subformulas
 
 DEFAULT_MAX_STEPS = 10**6
-
-# Rule identifiers.  Leaves: Init, LBot, Irref, plus RTop (a sequent with x:True
-# in the consequent is closed; without it True and the definitional schema for
-# it would be unprovable).  LAnd/RAnd also decompose a biconditional, read as
-# the conjunction of the two implications.
-INIT, LBOT, RTOP, IRREF = "Init", "LBot", "RTop", "Irref"
-LAND, RAND, LOR, ROR = "LAnd", "RAnd", "LOr", "ROr"
-LNOT, RNOT, LIMP, RIMP = "LNot", "RNot", "LImp", "RImp"
-LBOX, RBOXLOB, TRANS = "LBox", "RBoxLob", "Trans"
-
-LEAF_RULES = (INIT, LBOT, IRREF, RTOP)
-TWO_PREMISE_RULES = (RAND, LOR, LIMP)
-
-LabelledFormula = tuple[int, Formula]
-RelAtom = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class SequentState:
-    """Snapshot of one sequent: relational atoms and labelled formulas on the
-    left and right."""
-
-    rel: frozenset[RelAtom]
-    left: frozenset[LabelledFormula]
-    right: frozenset[LabelledFormula]
-
-    def labels(self) -> frozenset[int]:
-        out = set()
-        for x, y in self.rel:
-            out.add(x)
-            out.add(y)
-        for x, _ in self.left:
-            out.add(x)
-        for x, _ in self.right:
-            out.add(x)
-        return frozenset(out)
-
-
-@dataclass(frozen=True)
-class Derivation:
-    """Proof tree node; its sequent is replayed from the root ``=> 0:goal``."""
-
-    rule: str
-    principal: tuple
-    premises: tuple["Derivation", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -89,34 +54,110 @@ class Refuted:
 SearchResult = Proved | Refuted
 
 
-def _components(f: Formula) -> tuple[Formula, Formula]:
-    """Conjuncts handled by the And rules; a biconditional contributes its
-    two implications."""
-    if isinstance(f, And):
-        return f.left, f.right
-    if isinstance(f, Iff):
-        return Imp(f.left, f.right), Imp(f.right, f.left)
-    raise TypeError(f"no conjunctive components: {f!r}")
-
-
-def _lf_key(item: LabelledFormula) -> tuple:
-    return (item[0], sort_key(item[1]))
+# The propositional rules in selection order: whether the principal is on
+# the left, the shapes it has, and per premise the components it adds to the
+# left and to the right.
+_PROP_RULES = {
+    LAND: (True, (And, Iff), lambda f: [(_components(f), ())]),
+    ROR: (False, (Or,), lambda f: [((), (f.left, f.right))]),
+    LNOT: (True, (Not,), lambda f: [((), (f.sub,))]),
+    RNOT: (False, (Not,), lambda f: [((f.sub,), ())]),
+    RIMP: (False, (Imp,), lambda f: [((f.left,), (f.right,))]),
+    RAND: (False, (And, Iff), lambda f: [((), (c,)) for c in _components(f)]),
+    LOR: (True, (Or,), lambda f: [((f.left,), ()), ((f.right,), ())]),
+    LIMP: (True, (Imp,), lambda f: [((), (f.left,)), ((f.right,), ())]),
+}
+_COMPOUND = (And, Iff, Or, Not, Imp)
 
 
 class _Branch:
     """Mutable working state of one search branch, with the rule instances
-    already applied on it (``bookkeeping``)."""
+    already applied on it (``bookkeeping``) and the indexes that candidate
+    selection reads instead of scanning the sequent, kept up to date as
+    formulas and relational atoms are added and principals dropped:
 
-    __slots__ = ("rel", "left", "right", "bookkeeping")
+    - ``succ``: the successors of each label, which hold the relational
+      atoms, and ``boxes``: the left boxed formulas of each label, both as
+      immutable values, so that a copy of the branch shares them;
+    - ``closing``: the closed-branch instances, tested on each insertion, as
+      ``(rank, key, rule, principal)``;
+    - ``todo_left``/``todo_right``: the compound formulas on each side, the
+      candidates of the propositional rules;
+    - ``trans`` and ``lbox``: heaps of the Trans instances ``(x, y, z)`` with
+      xRy and yRz, and of the LBox instances ``(x, sort_key(f), y, f)`` with
+      x:f on the left and xRy, fed as relational atoms and left boxes arrive.
+      An instance stays in its heap after it is applied; selection pops it.
+    """
 
-    def __init__(self, rel, left, right, bookkeeping):
-        self.rel: set[RelAtom] = rel
-        self.left: set[LabelledFormula] = left
-        self.right: set[LabelledFormula] = right
-        self.bookkeeping: set[tuple] = bookkeeping
+    __slots__ = ("succ", "boxes", "left", "right", "bookkeeping", "todo_left", "todo_right",
+                 "closing", "trans", "lbox")
+
+    def __init__(self, goal: Formula):
+        self.succ: dict[int, frozenset[int]] = {}
+        self.boxes: dict[int, tuple[Box, ...]] = {}
+        self.left, self.right, self.bookkeeping = set(), set(), set()
+        self.todo_left, self.todo_right = set(), set()
+        self.closing, self.trans, self.lbox = [], [], []
+        self.add_right((0, goal))
+
+    @property
+    def rel(self) -> set[RelAtom]:
+        return {(x, y) for x, ys in self.succ.items() for y in ys}
 
     def copy(self) -> "_Branch":
-        return _Branch(set(self.rel), set(self.left), set(self.right), set(self.bookkeeping))
+        new = object.__new__(_Branch)
+        for name in self.__slots__:
+            value = getattr(self, name)
+            setattr(new, name, type(value)(value))
+        return new
+
+    def add_rel(self, x: int, y: int):
+        succ_x = self.succ.get(x, frozenset())
+        if y in succ_x:
+            return
+        succ_x = self.succ[x] = succ_x | {y}
+        if x == y:
+            self.closing.append((2, x, IRREF, (x,)))
+        for z in self.succ.get(y, ()):
+            if z not in succ_x:
+                heappush(self.trans, (x, y, z))
+        for w, succ_w in self.succ.items():
+            if x in succ_w and y not in succ_w:
+                heappush(self.trans, (w, x, y))
+        for f in self.boxes.get(x, ()):
+            heappush(self.lbox, (x, f.sort_key, y, f))
+
+    def add_left(self, item: LabelledFormula):
+        if item in self.left:
+            return
+        self.left.add(item)
+        x, f = item
+        if item in self.right:
+            self.closing.append((0, _lf_key(item), INIT, item))
+        if isinstance(f, _COMPOUND):
+            self.todo_left.add(item)
+        elif isinstance(f, Box):
+            self.boxes[x] = self.boxes.get(x, ()) + (f,)
+            for y in self.succ.get(x, ()):
+                heappush(self.lbox, (x, f.sort_key, y, f))
+        elif isinstance(f, Falsum):
+            self.closing.append((1, x, LBOT, item))
+
+    def add_right(self, item: LabelledFormula):
+        if item in self.right:
+            return
+        self.right.add(item)
+        x, f = item
+        if item in self.left:
+            self.closing.append((0, _lf_key(item), INIT, item))
+        if isinstance(f, _COMPOUND):
+            self.todo_right.add(item)
+        elif isinstance(f, Verum):
+            self.closing.append((3, x, RTOP, item))
+
+    def drop(self, on_left: bool, item: LabelledFormula):
+        (self.left if on_left else self.right).discard(item)
+        (self.todo_left if on_left else self.todo_right).discard(item)
 
     def freeze(self) -> SequentState:
         return SequentState(frozenset(self.rel), frozenset(self.left), frozenset(self.right))
@@ -140,59 +181,47 @@ class _Searcher:
         if self.steps > self.max_steps:
             raise BudgetExceededError(f"proof search exceeded {self.max_steps} rule applications")
 
-    # -- deterministic candidate selection --
+    # -- deterministic candidate selection, through the branch indexes --
 
     def find_close(self, br: _Branch):
-        shared = br.left & br.right
-        if shared:
-            return INIT, min(shared, key=_lf_key)
-        bots = [(x, f) for x, f in br.left if isinstance(f, Falsum)]
-        if bots:
-            return LBOT, min(bots)
-        irrefs = [(x, y) for x, y in br.rel if x == y]
-        if irrefs:
-            return IRREF, (min(irrefs)[0],)
-        tops = [(x, f) for x, f in br.right if isinstance(f, Verum)]
-        if tops:
-            return RTOP, min(tops)
+        # A rule application never removes what a closure needs, so the
+        # instances recorded since the last (open) step are all there are.
+        if br.closing:
+            _, _, rule, principal = min(br.closing)
+            return rule, principal
         return None
 
     def find_prop(self, br: _Branch):
-        for rule, side, kinds in (
-            (LAND, br.left, (And, Iff)),
-            (ROR, br.right, (Or,)),
-            (LNOT, br.left, (Not,)),
-            (RNOT, br.right, (Not,)),
-            (RIMP, br.right, (Imp,)),
-            (RAND, br.right, (And, Iff)),
-            (LOR, br.left, (Or,)),
-            (LIMP, br.left, (Imp,)),
-        ):
-            candidates = [(x, f) for x, f in side if isinstance(f, kinds)]
-            if candidates:
-                return rule, min(candidates, key=_lf_key)
+        if br.todo_left or br.todo_right:
+            for rule, (on_left, kinds, _) in _PROP_RULES.items():
+                todo = br.todo_left if on_left else br.todo_right
+                candidates = [item for item in todo if isinstance(item[1], kinds)]
+                if candidates:
+                    return rule, min(candidates, key=_lf_key)
         return None
 
     def find_trans(self, br: _Branch):
-        rel = sorted(br.rel)
-        for x, y in rel:
-            for y2, z in rel:
-                if y2 == y and (x, z) not in br.rel:
-                    return (x, y, z)
+        heap = br.trans
+        while heap:
+            x, _, z = heap[0]
+            if z not in br.succ[x]:
+                return heap[0]
+            heappop(heap)
         return None
 
     def find_lbox(self, br: _Branch):
-        boxes = sorted(((x, f) for x, f in br.left if isinstance(f, Box)), key=_lf_key)
-        for x, f in boxes:
-            for x2, y in sorted(br.rel):
-                if x2 == x and ("LBox", x, f, y) not in br.bookkeeping:
-                    return (x, f, y)
+        heap = br.lbox
+        while heap:
+            x, _, y, f = heap[0]
+            if (LBOX, x, f, y) not in br.bookkeeping:
+                return (x, f, y)
+            heappop(heap)
         return None
 
     def find_rboxlob(self, br: _Branch):
         candidates = [
             (x, f) for x, f in br.right
-            if isinstance(f, Box) and ("RBoxLob", x, f) not in br.bookkeeping
+            if isinstance(f, Box) and (RBOXLOB, x, f) not in br.bookkeeping
         ]
         if not candidates:
             return None
@@ -209,52 +238,20 @@ class _Searcher:
 
     # -- rule application --
 
-    def apply_prop(self, br: _Branch, rule: str, principal: LabelledFormula):
+    def apply_prop(self, br: _Branch, rule: str, principal: LabelledFormula) -> list[_Branch]:
+        """The premises of a propositional rule instance; the last one is
+        ``br`` itself, which the caller never reads again."""
+        on_left, _, decompose = _PROP_RULES[rule]
         x, f = principal
-        if rule == LAND:
-            c1, c2 = _components(f)
-            br.left.discard(principal)
-            br.left.add((x, c1))
-            br.left.add((x, c2))
-        elif rule == ROR:
-            br.right.discard(principal)
-            br.right.add((x, f.left))
-            br.right.add((x, f.right))
-        elif rule == LNOT:
-            br.left.discard(principal)
-            br.right.add((x, f.sub))
-        elif rule == RNOT:
-            br.right.discard(principal)
-            br.left.add((x, f.sub))
-        elif rule == RIMP:
-            br.right.discard(principal)
-            br.left.add((x, f.left))
-            br.right.add((x, f.right))
-        else:
-            raise AssertionError(rule)
-
-    def branch_premises(self, br: _Branch, rule: str, principal: LabelledFormula) -> list[_Branch]:
-        x, f = principal
-        first, second = br.copy(), br.copy()
-        if rule == RAND:
-            c1, c2 = _components(f)
-            first.right.discard(principal)
-            first.right.add((x, c1))
-            second.right.discard(principal)
-            second.right.add((x, c2))
-        elif rule == LOR:
-            first.left.discard(principal)
-            first.left.add((x, f.left))
-            second.left.discard(principal)
-            second.left.add((x, f.right))
-        elif rule == LIMP:
-            first.left.discard(principal)
-            first.right.add((x, f.left))
-            second.left.discard(principal)
-            second.left.add((x, f.right))
-        else:
-            raise AssertionError(rule)
-        return [first, second]
+        parts = decompose(f)
+        premises = [br.copy() for _ in parts[1:]] + [br]
+        for premise, (lefts, rights) in zip(premises, parts):
+            premise.drop(on_left, principal)
+            for g in lefts:
+                premise.add_left((x, g))
+            for g in rights:
+                premise.add_right((x, g))
+        return premises
 
     # -- the search loop --
 
@@ -277,23 +274,23 @@ class _Searcher:
             if prop is not None:
                 rule, principal = prop
                 self.tick()
-                if rule in TWO_PREMISE_RULES:
-                    premises = []
-                    for sub in self.branch_premises(br, rule, principal):
-                        outcome = self.expand(sub)
-                        if isinstance(outcome, _Open):
-                            return outcome
-                        premises.append(outcome)
-                    return wrap(Derivation(rule, principal, tuple(premises)))
-                self.apply_prop(br, rule, principal)
-                segments.append((rule, principal))
-                continue
+                premises = self.apply_prop(br, rule, principal)
+                if len(premises) == 1:
+                    segments.append(prop)
+                    continue
+                subtrees = []
+                while premises:  # popped, so that a finished premise is freed
+                    outcome = self.expand(premises.pop(0))
+                    if isinstance(outcome, _Open):
+                        return outcome
+                    subtrees.append(outcome)
+                return wrap(Derivation(rule, principal, tuple(subtrees)))
 
             trans = self.find_trans(br)
             if trans is not None:
                 x, y, z = trans
                 self.tick()
-                br.rel.add((x, z))
+                br.add_rel(x, z)
                 segments.append((TRANS, trans))
                 continue
 
@@ -301,8 +298,8 @@ class _Searcher:
             if lbox is not None:
                 x, f, y = lbox
                 self.tick()
-                br.left.add((y, f.sub))
-                br.bookkeeping.add(("LBox", x, f, y))
+                br.add_left((y, f.sub))
+                br.bookkeeping.add((LBOX, x, f, y))
                 segments.append((LBOX, lbox))
                 continue
 
@@ -312,11 +309,11 @@ class _Searcher:
                 y = self.next_label
                 self.next_label += 1
                 self.tick()
-                br.rel.add((x, y))
-                br.left.add((y, f))
-                br.right.discard(rbox)
-                br.right.add((y, f.sub))
-                br.bookkeeping.add(("RBoxLob", x, f))
+                br.add_rel(x, y)
+                br.add_left((y, f))
+                br.drop(False, rbox)
+                br.add_right((y, f.sub))
+                br.bookkeeping.add((RBOXLOB, x, f))
                 segments.append((RBOXLOB, (x, f, y)))
                 continue
 
@@ -351,269 +348,10 @@ def search(f: Formula, max_steps: int = DEFAULT_MAX_STEPS) -> SearchResult:
     """Decide ``f``: a closed derivation of the sequent ``=> 0:f``, or a
     validated countermodel from the first saturated open branch."""
     searcher = _Searcher(max_steps)
-    start = _Branch(set(), set(), {(0, f)}, set())
-    outcome = searcher.expand(start)
+    outcome = searcher.expand(_Branch(f))
     if isinstance(outcome, _Open):
         model, world = extract_countermodel(outcome.state, 0)
         if world in truth_sets(model)(f):
             raise InternalCheckError("extracted model does not falsify the goal at the root")
         return Refuted(outcome.state, model, world)
     return Proved(outcome)
-
-
-# --- independent derivation checking -------------------------------------------
-
-def _expected_premises(s: SequentState, rule: str, principal: tuple) -> list[SequentState] | str:
-    """Premise sequents forced by a rule instance, or an error string."""
-
-    def state(rel=None, left=None, right=None):
-        return SequentState(
-            frozenset(rel if rel is not None else s.rel),
-            frozenset(left if left is not None else s.left),
-            frozenset(right if right is not None else s.right),
-        )
-
-    if rule in (LAND, RAND, LOR, ROR, LNOT, RNOT, LIMP, RIMP, INIT, LBOT, RTOP):
-        if not (isinstance(principal, tuple) and len(principal) == 2):
-            return "principal must be a labelled formula"
-        x, f = principal
-        if rule == INIT:
-            return [] if principal in s.left and principal in s.right else "Init needs the formula on both sides"
-        if rule == LBOT:
-            return [] if isinstance(f, Falsum) and principal in s.left else "LBot needs x:False on the left"
-        if rule == RTOP:
-            return [] if isinstance(f, Verum) and principal in s.right else "RTop needs x:True on the right"
-        if rule == LAND:
-            if not isinstance(f, (And, Iff)) or principal not in s.left:
-                return "LAnd principal must be a left conjunction or biconditional"
-            c1, c2 = _components(f)
-            return [state(left=s.left - {principal} | {(x, c1), (x, c2)})]
-        if rule == RAND:
-            if not isinstance(f, (And, Iff)) or principal not in s.right:
-                return "RAnd principal must be a right conjunction or biconditional"
-            c1, c2 = _components(f)
-            return [
-                state(right=s.right - {principal} | {(x, c1)}),
-                state(right=s.right - {principal} | {(x, c2)}),
-            ]
-        if rule == LOR:
-            if not isinstance(f, Or) or principal not in s.left:
-                return "LOr principal must be a left disjunction"
-            return [
-                state(left=s.left - {principal} | {(x, f.left)}),
-                state(left=s.left - {principal} | {(x, f.right)}),
-            ]
-        if rule == ROR:
-            if not isinstance(f, Or) or principal not in s.right:
-                return "ROr principal must be a right disjunction"
-            return [state(right=s.right - {principal} | {(x, f.left), (x, f.right)})]
-        if rule == LNOT:
-            if not isinstance(f, Not) or principal not in s.left:
-                return "LNot principal must be a left negation"
-            return [state(left=s.left - {principal}, right=s.right | {(x, f.sub)})]
-        if rule == RNOT:
-            if not isinstance(f, Not) or principal not in s.right:
-                return "RNot principal must be a right negation"
-            return [state(left=s.left | {(x, f.sub)}, right=s.right - {principal})]
-        if rule == LIMP:
-            if not isinstance(f, Imp) or principal not in s.left:
-                return "LImp principal must be a left implication"
-            return [
-                state(left=s.left - {principal}, right=s.right | {(x, f.left)}),
-                state(left=s.left - {principal} | {(x, f.right)}),
-            ]
-        if rule == RIMP:
-            if not isinstance(f, Imp) or principal not in s.right:
-                return "RImp principal must be a right implication"
-            return [state(left=s.left | {(x, f.left)}, right=s.right - {principal} | {(x, f.right)})]
-
-    if rule == IRREF:
-        if not (isinstance(principal, tuple) and len(principal) == 1):
-            return "Irref principal must be a single label"
-        (x,) = principal
-        return [] if (x, x) in s.rel else "Irref needs xRx among the relational atoms"
-
-    if rule == TRANS:
-        if not (isinstance(principal, tuple) and len(principal) == 3):
-            return "Trans principal must be three labels"
-        x, y, z = principal
-        if (x, y) not in s.rel or (y, z) not in s.rel:
-            return "Trans needs xRy and yRz among the relational atoms"
-        return [state(rel=s.rel | {(x, z)})]
-
-    if rule == LBOX:
-        if not (isinstance(principal, tuple) and len(principal) == 3):
-            return "LBox principal must be (label, box formula, target label)"
-        x, f, y = principal
-        if not isinstance(f, Box) or (x, f) not in s.left:
-            return "LBox needs x:Box A on the left"
-        if (x, y) not in s.rel:
-            return "LBox needs xRy among the relational atoms"
-        return [state(left=s.left | {(y, f.sub)})]
-
-    if rule == RBOXLOB:
-        if not (isinstance(principal, tuple) and len(principal) == 3):
-            return "RBoxLob principal must be (label, box formula, fresh label)"
-        x, f, y = principal
-        if not isinstance(f, Box) or (x, f) not in s.right:
-            return "RBoxLob needs x:Box A on the right"
-        if y in s.labels():
-            return f"RBoxLob label {y} is not fresh"
-        return [state(
-            rel=s.rel | {(x, y)},
-            left=s.left | {(y, f)},
-            right=s.right - {(x, f)} | {(y, f.sub)},
-        )]
-
-    return f"unknown rule {rule!r}"
-
-
-def _replay(d: Derivation, goal: Formula):
-    """Yield ``(depth, node, sequent)`` in preorder, premises left to right,
-    each premise's sequent forced by its parent's rule instance from the root
-    ``=> 0:goal`` on; raise ValueError("node <path>: ...") at the first schema
-    violation.  Iterative: a search branch can outgrow the recursion limit."""
-    root = SequentState(frozenset(), frozenset(), frozenset({(0, goal)}))
-    stack: list[tuple[Derivation, str, int, SequentState]] = [(d, "0", 0, root)]
-    while stack:
-        node, path, depth, s = stack.pop()
-        yield depth, node, s
-        expected = _expected_premises(s, node.rule, node.principal)
-        if isinstance(expected, str):
-            raise ValueError(f"node {path}: {expected}")
-        if len(expected) != len(node.premises):
-            raise ValueError(f"node {path}: rule {node.rule} needs {len(expected)} premises, has {len(node.premises)}")
-        for k in reversed(range(len(expected))):
-            stack.append((node.premises[k], f"{path}.{k}", depth + 1, expected[k]))
-
-
-def derivation_error(d: Derivation, goal: Formula) -> str | None:
-    """First schema violation in the tree, or None if the derivation is a
-    correct proof of ``=> 0:goal``."""
-    try:
-        for _ in _replay(d, goal):
-            pass
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def check_derivation(d: Derivation, goal: Formula) -> bool:
-    """Revalidate a derivation bottom to top against the rule schemas,
-    independently of how it was found."""
-    return derivation_error(d, goal) is None
-
-
-# --- serialization ---------------------------------------------------------------
-
-def _principal_to_list(rule: str, principal: tuple) -> list:
-    if rule in (IRREF, TRANS):
-        return list(principal)
-    if rule in (LBOX, RBOXLOB):
-        x, f, y = principal
-        return [x, pretty(f), y]
-    x, f = principal
-    return [x, pretty(f)]
-
-
-def _principal_from_list(rule: str, raw: list) -> tuple:
-    if rule in (IRREF, TRANS):
-        return tuple(int(v) for v in raw)
-    if rule in (LBOX, RBOXLOB):
-        return (int(raw[0]), parse(raw[1]), int(raw[2]))
-    return (int(raw[0]), parse(raw[1]))
-
-
-def _sequent_to_dict(s: SequentState) -> dict:
-    return {
-        "rel": sorted([x, y] for x, y in s.rel),
-        "left": [[x, pretty(f)] for x, f in sorted(s.left, key=_lf_key)],
-        "right": [[x, pretty(f)] for x, f in sorted(s.right, key=_lf_key)],
-    }
-
-
-def derivation_to_dict(d: Derivation, goal: Formula) -> dict:
-    """Nested document of a derivation of ``=> 0:goal``, with replayed sequents."""
-    open_nodes: list[dict] = []  # the document's nodes from the root down
-    for depth, node, s in _replay(d, goal):
-        doc = {
-            "rule": node.rule,
-            "principal": _principal_to_list(node.rule, node.principal),
-            "sequent": _sequent_to_dict(s),
-            "premises": [],
-        }
-        del open_nodes[depth:]
-        if open_nodes:
-            open_nodes[-1]["premises"].append(doc)
-        open_nodes.append(doc)
-    return open_nodes[0]
-
-
-def derivation_to_json(d: Derivation, goal: Formula) -> str:
-    return json.dumps(derivation_to_dict(d, goal), indent=2, sort_keys=True) + "\n"
-
-
-def _tree_from_dict(doc: dict) -> Derivation:
-    # Recursive, one frame per level: json.loads already bounds the nesting,
-    # two JSON levels per derivation level, below the recursion limit.
-    rule = doc["rule"]
-    principal = _principal_from_list(rule, doc["principal"])
-    premises = []
-    for p in doc["premises"]:
-        premises.append(_tree_from_dict(p))
-    return Derivation(rule, principal, tuple(premises))
-
-
-def derivation_from_dict(doc: dict) -> Derivation:
-    """Read a derivation document's rule tree; the goal is the root's stated
-    ``=> 0:A``.  The document must be the tree's canonical rendering for that
-    goal, so every stated sequent is checked against the replay."""
-    try:
-        goal = parse(doc["sequent"]["right"][0][1])
-        d = _tree_from_dict(doc)
-        if derivation_to_dict(d, goal) != doc:
-            raise ValueError("the stated sequents are not the replayed ones")
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed derivation document: {exc}") from None
-    return d
-
-
-def derivation_from_json(text: str) -> Derivation:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return derivation_from_dict(doc)
-
-
-def _sequent_to_text(s: SequentState) -> str:
-    ante = [f"{x}R{y}" for x, y in sorted(s.rel)]
-    ante += [f"{x}:{pretty(f)}" for x, f in sorted(s.left, key=_lf_key)]
-    cons = [f"{x}:{pretty(f)}" for x, f in sorted(s.right, key=_lf_key)]
-    return ", ".join(ante) + " => " + ", ".join(cons)
-
-
-def derivation_to_text(d: Derivation, goal: Formula) -> str:
-    """Human-readable indented rendering of a derivation of ``=> 0:goal``."""
-    lines: list[str] = []
-    for depth, node, s in _replay(d, goal):
-        principal = ",".join(str(v) for v in _principal_to_list(node.rule, node.principal))
-        lines.append("  " * depth + f"{node.rule}[{principal}]  {_sequent_to_text(s)}")
-    return "\n".join(lines) + "\n"
-
-
-def derivation_to_dot(d: Derivation, goal: Formula) -> str:
-    """Graph description of a derivation of ``=> 0:goal``, one node per rule
-    application; the edge into a node follows the node's whole subtree."""
-    lines = ["digraph derivation {"]
-    open_ids: list[int] = []  # ids of the nodes from the root down
-    for nid, (depth, node, s) in enumerate(_replay(d, goal)):
-        while len(open_ids) > depth:  # the subtrees ending here, deepest first
-            child = open_ids.pop()
-            lines.append(f"  n{open_ids[-1]} -> n{child};")
-        label = f"{node.rule}: {_sequent_to_text(s)}".replace('"', "'")
-        lines.append(f'  n{nid} [label="{label}"];')
-        open_ids.append(nid)
-    lines += [f"  n{parent} -> n{child};" for parent, child in zip(open_ids[-2::-1], open_ids[:0:-1])]
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -5,80 +5,127 @@ conjunction, disjunction, implication, biconditional and the box modality.
 ``Diam`` is not a constructor: ``Diam A`` is sugar for ``Not (Box (Not A))``
 and is desugared by the parser (and resugared by the printer when that exact
 shape occurs).
+
+Formulas are hash-consed (Filliatre & Conchon, *Type-safe modular
+hash-consing*, 2006): a constructor returns the one live node with its
+constructor and children, so structural equality is identity and ``==`` is
+``is``.  Each node carries its structural hash and its ``sort_key``, both
+computed once from its children's, and caches its subformula set on first
+request.  The intern table holds its nodes weakly: a formula nobody uses any
+more leaves it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
+
+# (constructor, *children or name) -> the live node
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class Formula:
     """Base class of the nine formula constructors.
 
-    Instances are immutable, hashable and compare structurally.
+    Instances are immutable and interned; ``copy`` and ``pickle`` give back
+    the interned node.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash", "sort_key", "_subformulas", "__weakref__")
+    _fields: tuple[str, ...] = ()
+    _tag = -1
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _INTERN.get(key)
+        if node is None:
+            if len(args) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}")
+            node = object.__new__(cls)
+            init = object.__setattr__
+            for name, value in zip(cls._fields, args):
+                init(node, name, value)
+            init(node, "_hash", hash((cls._tag, *args)))
+            init(node, "sort_key", (cls._tag, *(a.sort_key if isinstance(a, Formula) else a for a in args)))
+            init(node, "_subformulas", None)
+            _INTERN[key] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self) -> str:
         return pretty(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Falsum(Formula):
     __slots__ = ()
+    _tag = 0
 
 
-@dataclass(frozen=True, repr=False)
 class Verum(Formula):
     __slots__ = ()
+    _tag = 1
 
 
-@dataclass(frozen=True, repr=False)
 class Atom(Formula):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
+    _tag = 2
     name: str
 
 
-@dataclass(frozen=True, repr=False)
 class Not(Formula):
-    __slots__ = ("sub",)
+    __slots__ = _fields = ("sub",)
+    _tag = 3
     sub: Formula
 
 
-@dataclass(frozen=True, repr=False)
 class And(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
+    _tag = 4
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
 class Or(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
+    _tag = 5
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
 class Imp(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
+    _tag = 6
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
 class Iff(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
+    _tag = 7
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
 class Box(Formula):
-    __slots__ = ("sub",)
+    __slots__ = _fields = ("sub",)
+    _tag = 8
     sub: Formula
 
 
@@ -91,10 +138,6 @@ def Diam(f: Formula) -> Formula:
     return Not(Box(Not(f)))
 
 
-_TAG = {Falsum: 0, Verum: 1, Atom: 2, Not: 3, And: 4, Or: 5, Imp: 6, Iff: 7, Box: 8}
-
-
-@lru_cache(maxsize=None)
 def sort_key(f: Formula) -> tuple:
     """Key realizing a strict total order on formulas.
 
@@ -102,27 +145,27 @@ def sort_key(f: Formula) -> tuple:
     ``sort_key(f) < sort_key(g)`` is a total, antisymmetric, transitive
     comparison consistent with structural equality.
     """
-    tag = _TAG[type(f)]
-    if isinstance(f, Atom):
-        return (tag, f.name)
-    if isinstance(f, (Not, Box)):
-        return (tag, sort_key(f.sub))
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return (tag, sort_key(f.left), sort_key(f.right))
-    return (tag,)
+    return f.sort_key
 
 
-@lru_cache(maxsize=None)
 def subformulas(f: Formula) -> frozenset[Formula]:
     """All subformulas of ``f``: the reflexive-transitive closure of the
     immediate-subterm relation.  ``f`` itself is always a member."""
-    acc = {f}
-    if isinstance(f, (Not, Box)):
-        acc |= subformulas(f.sub)
-    elif isinstance(f, (And, Or, Imp, Iff)):
-        acc |= subformulas(f.left)
-        acc |= subformulas(f.right)
-    return frozenset(acc)
+    subs = f._subformulas
+    if subs is None:
+        acc: set[Formula] = set()
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g not in acc:
+                acc.add(g)
+                for name in g._fields:
+                    child = getattr(g, name)
+                    if isinstance(child, Formula):
+                        stack.append(child)
+        subs = frozenset(acc)
+        object.__setattr__(f, "_subformulas", subs)
+    return subs
 
 
 def subsentences(f: Formula) -> frozenset[Formula]:

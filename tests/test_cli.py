@@ -185,6 +185,12 @@ def test_henkin_theorem_exit_0():
     assert main(["henkin", GL_AXIOM]) == 0
 
 
+def test_henkin_step_budget_exit_3(capsys):
+    assert main(["henkin", "Box p --> p", "--max-steps", "1"]) == 3
+    assert capsys.readouterr().err == "budget exceeded: proof search exceeded 1 rule applications\n"
+    assert main(["henkin", "Box p --> p"]) == 1
+
+
 def test_henkin_oversized_exit_3():
     big = " && ".join(f"a{i}" for i in range(14))
     assert main(["henkin", big]) == 3

@@ -142,6 +142,15 @@ def test_step_budget_reaches_consistency_searches():
     assert build_standard_model(f) is not None
 
 
+def test_extend_honours_step_budget():
+    f = parse("Box p --> p")
+    assert extend_maximal_consistent(f, []) == (P, f, Box(P))
+    with pytest.raises(BudgetExceededError):
+        extend_maximal_consistent(f, [], max_steps=1)
+    with pytest.raises(BudgetExceededError):
+        is_maximal_consistent(f, [P, f, Box(P)], max_steps=1)
+
+
 def test_world_lists_sidecar():
     out = build_standard_model(BOX_FALSE)
     sm, _ = out

@@ -7,12 +7,15 @@ import pytest
 from glprover.errors import BudgetExceededError
 from glprover.semantics import Falsified, holds, is_itf, oracle_valid
 from glprover.sequent import (
-    Derivation, INIT, LBOX, LEAF_RULES, Proved, RBOXLOB, RIMP, Refuted,
-    TWO_PREMISE_RULES, check_derivation, derivation_error,
-    derivation_from_json, derivation_to_dot, derivation_to_json,
-    derivation_to_text, extract_countermodel, search,
+    Derivation, INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR,
+    Proved, RAND, RBOXLOB, RIMP, RNOT, ROR, RTOP, Refuted, TWO_PREMISE_RULES,
+    _Branch, _Open, _Searcher, check_derivation, derivation_error,
+    derivation_from_json, derivation_to_dot,
+    derivation_to_json, derivation_to_text, extract_countermodel, search,
 )
-from glprover.syntax import Atom, Box, FALSE, parse, sort_key
+from glprover.syntax import (
+    And, Atom, Box, FALSE, Falsum, Iff, Imp, Not, Or, Verum, parse, pretty, sort_key,
+)
 
 P = Atom("p")
 
@@ -233,3 +236,101 @@ def test_no_open_branch_contains_irreflexive_violation(corpus):
         result = search(f)
         if isinstance(result, Refuted):
             assert all(x != y for x, y in result.branch.rel)
+
+
+def _box_chain(n: int):
+    return parse("Box " * (n + 1) + "False --> " + "Box " * n + "False")
+
+
+def _lob_conj(n: int):
+    c = " && ".join(f"p{i}" for i in range(1, n + 1))
+    return parse(f"Box (Box ({c}) --> {c}) --> Box ({c})")
+
+
+@pytest.mark.parametrize("n, steps", [(12, 377), (14, 575)])
+def test_box_chain_step_count_is_pinned(n, steps):
+    # the rule sequence of the search: each figure is the exact number of
+    # rule applications, so any change of rule order or of a rule shows
+    assert isinstance(search(_box_chain(n), max_steps=steps), Refuted)
+    with pytest.raises(BudgetExceededError):
+        search(_box_chain(n), max_steps=steps - 1)
+
+
+def test_lob_conj10_derivation_size_is_pinned():
+    result = search(_lob_conj(10))
+    assert isinstance(result, Proved)
+    nodes, stack = 0, [result.derivation]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        stack.extend(node.premises)
+    assert nodes == 105
+
+
+def _lf_key(item):
+    return (item[0], sort_key(item[1]))
+
+
+class _ScanningSearcher(_Searcher):
+    """Reference selectors that scan and sort the whole sequent and relation
+    at every step; the indexed selectors must choose exactly what they do."""
+
+    def find_close(self, br):
+        shared = br.left & br.right
+        if shared:
+            return INIT, min(shared, key=_lf_key)
+        bots = [(x, f) for x, f in br.left if isinstance(f, Falsum)]
+        if bots:
+            return LBOT, min(bots)
+        irrefs = [(x, y) for x, y in br.rel if x == y]
+        if irrefs:
+            return IRREF, (min(irrefs)[0],)
+        tops = [(x, f) for x, f in br.right if isinstance(f, Verum)]
+        if tops:
+            return RTOP, min(tops)
+        return None
+
+    def find_prop(self, br):
+        for rule, side, kinds in (
+            (LAND, br.left, (And, Iff)),
+            (ROR, br.right, (Or,)),
+            (LNOT, br.left, (Not,)),
+            (RNOT, br.right, (Not,)),
+            (RIMP, br.right, (Imp,)),
+            (RAND, br.right, (And, Iff)),
+            (LOR, br.left, (Or,)),
+            (LIMP, br.left, (Imp,)),
+        ):
+            candidates = [(x, f) for x, f in side if isinstance(f, kinds)]
+            if candidates:
+                return rule, min(candidates, key=_lf_key)
+        return None
+
+    def find_trans(self, br):
+        rel = sorted(br.rel)
+        for x, y in rel:
+            for y2, z in rel:
+                if y2 == y and (x, z) not in br.rel:
+                    return (x, y, z)
+        return None
+
+    def find_lbox(self, br):
+        boxes = sorted(((x, f) for x, f in br.left if isinstance(f, Box)), key=_lf_key)
+        for x, f in boxes:
+            for x2, y in sorted(br.rel):
+                if x2 == x and ("LBox", x, f, y) not in br.bookkeeping:
+                    return (x, f, y)
+        return None
+
+
+def _expand(searcher_class, f):
+    searcher = searcher_class(10**6)
+    outcome = searcher.expand(_Branch(f))
+    return (outcome.state if isinstance(outcome, _Open) else outcome), searcher.steps
+
+
+def test_indexed_selection_matches_scanning_reference(corpus):
+    extra = [parse(text) for text in PROVED_EXAMPLES + ["Box p --> Box Box Box Box p"]]
+    extra += [_box_chain(6), _lob_conj(3)]
+    for f in corpus + extra:
+        assert _expand(_Searcher, f) == _expand(_ScanningSearcher, f), pretty(f)

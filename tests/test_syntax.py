@@ -1,8 +1,13 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
 from conftest import random_formula
+from glprover import syntax
 from glprover.syntax import (
     And, Atom, Box, Diam, FALSE, Iff, Imp, Not, Or, ParseError, TRUE,
     atoms, modal_depth, parse, pretty, sort_key, subformulas, subsentences,
@@ -133,3 +138,51 @@ def test_atoms_and_modal_depth():
     assert modal_depth(f) == 2
     assert modal_depth(Box(Box(Box(P)))) == 3
     assert modal_depth(P) == 0
+
+
+def test_formulas_are_interned():
+    text = "Box (p <-> Not (Box q)) && Not (Box (Box False))"
+    assert parse(text) is parse(text)
+    assert Imp(Box(P), P) is parse("Box p --> p")
+    assert Atom("p") is P and Diam(TRUE) is Not(Box(Not(TRUE)))
+    assert And(P, Q) is not And(Q, P)
+
+
+def test_copy_and_pickle_return_the_interned_node():
+    f = parse("Box (Box p --> p) --> Box p")
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert pickle.loads(pickle.dumps(FALSE)) is FALSE
+
+
+def test_formulas_are_immutable():
+    f = parse("p && q")
+    with pytest.raises(AttributeError):
+        f.left = Q
+    with pytest.raises(AttributeError):
+        del f.right
+    assert f.left is P
+
+
+def test_intern_table_releases_unused_formulas():
+    leaf = Atom("unused")
+    leaf_ref = weakref.ref(leaf)
+    chain = leaf
+    for _ in range(100):
+        chain = Box(chain)
+    subformulas(chain)  # its cached subformula set refers back to the node
+    held = len(syntax._INTERN)
+    del leaf, chain
+    gc.collect()
+    assert leaf_ref() is None
+    assert len(syntax._INTERN) <= held - 101
+
+
+def test_deep_formula_hashes_without_recursion():
+    f = FALSE
+    for _ in range(5000):
+        f = Box(f)
+    assert f in {f}
+    assert hash(f) == hash(Box(f.sub))
+    assert len(subformulas(f)) == 5001

@@ -8,6 +8,7 @@ construction from maximal consistent lists provides a second, independent
 countermodel route.
 """
 
+from .bisimulation import is_bisimulation, largest_bisimulation
 from .errors import BudgetExceededError, InternalCheckError
 from .henkin import (
     StandardModel, build_standard_model, consistent, extend_maximal_consistent,
@@ -22,8 +23,8 @@ from .hilbert import (
 from .semantics import (
     Falsified, Frame, Model, UnknownWorldError, ValidUpTo, Verdict,
     enumerate_frames, enumerate_itf_frames, frame_valid, holds,
-    is_bisimulation, is_itf, is_transnt_finite, largest_bisimulation,
-    make_model, model_from_json, model_to_dot, model_to_json, oracle_valid, truth_sets,
+    is_itf, is_transnt_finite, make_model, model_from_json, model_to_dot,
+    model_to_json, oracle_valid, truth_sets,
 )
 from .derivation import (
     Derivation, SequentState, check_derivation, derivation_error,

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import henkin, hilbert, semantics, sequent
+from . import bisimulation, henkin, hilbert, semantics, sequent
 from .errors import BudgetExceededError, InternalCheckError
 from .syntax import ParseError, parse, pretty
 
@@ -162,7 +162,7 @@ def cmd_bisim(args) -> int:
         except (OSError, ValueError) as exc:
             return _fail(f"cannot read model {path}: {exc}")
         models.append(model)
-    pairs = semantics.largest_bisimulation(models[0], models[1])
+    pairs = bisimulation.largest_bisimulation(models[0], models[1])
     print(json.dumps(sorted([x, y] for x, y in pairs)))
     return PROVED
 

@@ -2,11 +2,14 @@
 
 Worlds are small naturals.  A valuation lists, per atom, the worlds where the
 atom is true; every (atom, world) pair not listed is false.  One evaluator,
-`_eval_mask`, computes the worlds where a formula is true as a bitmask;
-`holds`, `truth_sets` and the exhaustive checks all use it.  This module also
-provides the frame-class predicates for GL (irreflexive transitive finite,
-and transitive Noetherian restricted to finite frames), an exhaustive bounded
-validity oracle, and bisimulations.
+`_eval_mask`, computes the worlds where a formula is true as a bitmask, for
+one model or for many valuations of one frame at once (bit ``v*n + w`` is
+world ``w`` under valuation ``v``); `holds`, `truth_sets` and the exhaustive
+checks all use it.  This module also provides the frame-class predicates for
+GL (irreflexive transitive finite, and transitive Noetherian restricted to
+finite frames) and an exhaustive bounded validity oracle, which generates the
+ITF frames directly as strict partial orders and evaluates the valuations of
+each frame in slices.  Bisimulations live in `glprover.bisimulation`.
 """
 
 from __future__ import annotations
@@ -65,57 +68,79 @@ def make_model(worlds, rel, val=None) -> Model:
 
 
 def _model_masks(m: Model) -> tuple[dict[int, int], int, list[int], dict[str, int]]:
-    """(index, full, succ, val): world ``w`` is bit ``index[w]``, in ascending
-    world order; ``succ[i]`` and ``val[a]`` are the masks of the successors of
-    bit ``i`` and of the worlds where atom ``a`` is true."""
+    """(index, full, pred, val): world ``w`` is bit ``index[w]``, in ascending
+    world order; ``pred[i]`` and ``val[a]`` are the masks of the worlds that
+    see bit ``i`` and of the worlds where atom ``a`` is true."""
     index = {w: i for i, w in enumerate(sorted(m.frame.worlds))}
-    succ = [0] * len(index)
+    pred = [0] * len(index)
     for x, y in m.frame.rel:
-        succ[index[x]] |= 1 << index[y]
+        pred[index[y]] |= 1 << index[x]
     val = {a: sum(1 << index[w] for w in ws) for a, ws in m.val}
-    return index, (1 << len(index)) - 1, succ, val
+    return index, (1 << len(index)) - 1, pred, val
 
 
-def _eval_mask(f: Formula, full: int, succ: list[int], val_masks: dict[str, int]) -> int:
+def _eval_mask(f: Formula, full: int, pred: list[int], val_masks: dict[str, int], unit: int,
+               memo: dict[Formula, int]) -> int:
     """The formula evaluator: the mask of the worlds where ``f`` is true.
 
-    Box f is true at a world iff every successor of it makes f true, i.e. its
-    successor mask has no bit outside the mask of f."""
-    if isinstance(f, Falsum):
-        return 0
-    if isinstance(f, Verum):
-        return full
-    if isinstance(f, Atom):
-        return val_masks.get(f.name, 0)
-    if isinstance(f, Not):
-        return full & ~_eval_mask(f.sub, full, succ, val_masks)
-    if isinstance(f, And):
-        return _eval_mask(f.left, full, succ, val_masks) & _eval_mask(f.right, full, succ, val_masks)
-    if isinstance(f, Or):
-        return _eval_mask(f.left, full, succ, val_masks) | _eval_mask(f.right, full, succ, val_masks)
-    if isinstance(f, Imp):
-        return (full & ~_eval_mask(f.left, full, succ, val_masks)) | _eval_mask(f.right, full, succ, val_masks)
-    if isinstance(f, Iff):
-        a = _eval_mask(f.left, full, succ, val_masks)
-        b = _eval_mask(f.right, full, succ, val_masks)
-        return full & ~(a ^ b)
-    if isinstance(f, Box):
-        sub = _eval_mask(f.sub, full, succ, val_masks)
-        mask = 0
-        for i, s in enumerate(succ):
-            if not s & ~sub:
-                mask |= 1 << i
-        return mask
-    raise TypeError(f"not a formula: {f!r}")
+    With n worlds, bit ``v*n + w`` is world ``w`` under valuation ``v``;
+    ``unit`` has bit ``v*n`` set for each valuation (``1`` for one model).
+    Box g is false exactly where a successor falsifies g: the failures of g
+    at world k, one bit per valuation, are spread to the predecessors of k.
+    The walk keeps an explicit stack, so no nesting depth is too deep, and
+    records every subformula's mask in ``memo``, so a subformula shared in
+    the DAG is evaluated once for all the formulas evaluated with one memo."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in memo:
+            continue
+        if isinstance(g, Not | Box):
+            todo = [k for k in (g.sub,) if k not in memo]
+        elif isinstance(g, And | Or | Imp | Iff):
+            todo = [k for k in (g.left, g.right) if k not in memo]
+        else:
+            todo = []
+        if todo:
+            stack.append(g)
+            stack.extend(todo)
+            continue
+        if isinstance(g, Falsum):
+            mask = 0
+        elif isinstance(g, Verum):
+            mask = full
+        elif isinstance(g, Atom):
+            mask = val_masks.get(g.name, 0)
+        elif isinstance(g, Not):
+            mask = full & ~memo[g.sub]
+        elif isinstance(g, Box):
+            missing, failed = full & ~memo[g.sub], 0
+            for k, p in enumerate(pred):
+                failed |= (missing >> k & unit) * p
+            mask = full & ~failed
+        elif isinstance(g, And):
+            mask = memo[g.left] & memo[g.right]
+        elif isinstance(g, Or):
+            mask = memo[g.left] | memo[g.right]
+        elif isinstance(g, Imp):
+            mask = (full & ~memo[g.left]) | memo[g.right]
+        elif isinstance(g, Iff):
+            mask = full & ~(memo[g.left] ^ memo[g.right])
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        memo[g] = mask
+    return memo[f]
 
 
 def truth_sets(m: Model) -> Callable[[Formula], frozenset[int]]:
     """The evaluator bound to one model, which it converts once: maps a
-    formula to the set of worlds of ``m`` where it is true."""
-    index, full, succ, val = _model_masks(m)
+    formula to the set of worlds of ``m`` where it is true.  Subformula masks
+    are kept for the life of the returned function."""
+    index, full, pred, val = _model_masks(m)
+    memo: dict[Formula, int] = {}
 
     def truth_set(f: Formula) -> frozenset[int]:
-        mask = _eval_mask(f, full, succ, val)
+        mask = _eval_mask(f, full, pred, val, 1, memo)
         return frozenset(w for w, i in index.items() if mask >> i & 1)
 
     return truth_set
@@ -128,16 +153,32 @@ def holds(m: Model, f: Formula, w: int) -> bool:
     return w in truth_sets(m)(f)
 
 
-def _first_failure(f: Formula, names: list[str], full: int, succ: list[int]):
-    """First valuation of ``names``, by mask (atom i owns bits i*n..i*n+n-1),
-    under which ``f`` is false somewhere: its atom masks and the mask of the
-    worlds where ``f`` is true; None when there is none."""
-    n = len(succ)
-    for mask in range(2 ** (len(names) * n)):
-        val_masks = {a: (mask >> (i * n)) & full for i, a in enumerate(names)}
-        true_mask = _eval_mask(f, full, succ, val_masks)
-        if true_mask != full:
-            return val_masks, true_mask
+# Valuations per evaluator pass; the masks have at most VALUATION_SLICE * n bits.
+VALUATION_SLICE = 1 << 10
+
+
+def _first_failure(f: Formula, names: list[str], full: int, pred: list[int]):
+    """The first valuation of ``names`` by index (atom i is true at world w
+    iff bit i*n + w is set) under which ``f`` is false somewhere, and the
+    least such world; None when there is none.  The valuations are evaluated
+    in ascending slices of at most VALUATION_SLICE."""
+    n = len(pred)
+    total = 1 << (len(names) * n)
+    # Masks of the first slice, by doubling: bit p of the index is world p % n
+    # of atom p // n.  A later slice adds its index's higher bits at every unit.
+    vals, unit, width = [0] * len(names), 1, n
+    for p in range(min(total, VALUATION_SLICE).bit_length() - 1):
+        vals = [x | x << width for x in vals]
+        vals[p // n] |= unit << (width + p % n)
+        unit |= unit << width
+        width *= 2
+    ones = (1 << width) - 1
+    for first in range(0, total, width // n):
+        val_masks = {a: x | unit * (first >> (i * n) & full) for i, (a, x) in enumerate(zip(names, vals))}
+        bad = ones & ~_eval_mask(f, ones, pred, val_masks, unit, {})
+        if bad:
+            v, w = divmod((bad & -bad).bit_length() - 1, n)
+            return first + v, w
     return None
 
 
@@ -150,8 +191,8 @@ def frame_valid(fr: Frame, f: Formula, eval_budget: int = DEFAULT_EVAL_BUDGET) -
     n = len(fr.worlds)
     if 2 ** (len(names) * n) * n > eval_budget:
         raise BudgetExceededError(f"frame_valid: 2^({len(names)}*{n}) valuations exceed the budget")
-    _, full, succ, _ = _model_masks(Model(fr))
-    return _first_failure(f, names, full, succ) is None
+    _, full, pred, _ = _model_masks(Model(fr))
+    return _first_failure(f, names, full, pred) is None
 
 
 # ITF clause violations are tuples (clause, worlds...): (0,) for an empty world
@@ -191,19 +232,15 @@ def itf_report(fr: Frame) -> list[str]:
 
 
 def _has_cycle(fr: Frame) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    _, _, succ, _ = _model_masks(Model(fr))
-    color = [WHITE] * len(succ)
-
-    def visit(i: int) -> bool:
-        color[i] = GRAY
-        for j in range(len(succ)):
-            if succ[i] >> j & 1 and (color[j] == GRAY or (color[j] == WHITE and visit(j))):
-                return True
-        color[i] = BLACK
-        return False
-
-    return any(color[i] == WHITE and visit(i) for i in range(len(succ)))
+    """Peel off the worlds that no world left sees until none is left, or a
+    nonempty rest in which every world is seen, hence a cycle."""
+    _, live, pred, _ = _model_masks(Model(fr))
+    while live:
+        sources = sum(1 << i for i, p in enumerate(pred) if live >> i & 1 and not p & live)
+        if not sources:
+            return True
+        live &= ~sources
+    return False
 
 
 def is_transnt_finite(fr: Frame) -> bool:
@@ -247,18 +284,55 @@ def enumerate_frames(n: int):
 
 
 def enumerate_itf_frames(n: int):
-    """All ITF frames on worlds 0..n-1, in deterministic ascending order."""
-    # Diagonal pairs are omitted: they never occur in an ITF relation, and
-    # dropping them preserves the ascending-mask enumeration order.
-    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
-    yield from (fr for fr in _frames(n, pairs) if is_itf(fr))
+    """All ITF frames (strict partial orders) on worlds 0..n-1, ascending by
+    relation bitmask over the lexicographic ordering of the pairs (x, y) with
+    x != y, generated without filtering.
+
+    Ascending mask is ascending (succ[n-1], ..., succ[0]), each successor set
+    read as a bitmask.  So the rows step like an odometer, row 0 fastest: a
+    row moves to its next admissible set and the rows below it restart
+    empty, and since an order with its low rows emptied is still an order,
+    every step yields a frame.  Row x admits the sets that avoid x, lie
+    inside succ[a] for each a that sees x, and contain succ[y] for each
+    member y.  The next one after ``row`` keeps the bits of ``row`` above the
+    least bit i it can add, adds i and closes the result, unless the closure
+    adds a bit above i."""
+    worlds, full = frozenset(range(n)), (1 << n) - 1
+    succ = [0] * n
+    while True:
+        yield Frame(worlds, frozenset((x, y) for x in range(n) for y in range(n) if succ[x] >> y & 1))
+        for x in range(n):
+            row, succ[x] = succ[x], 0
+            bound = full & ~(1 << x)
+            for a in range(x + 1, n):
+                if succ[a] >> x & 1:
+                    bound &= succ[a]
+            for i in range(n):
+                if bound >> i & 1 and not row >> i & 1:
+                    high = row >> (i + 1) << (i + 1)
+                    closed = high | 1 << i
+                    for y in range(n):  # one pass: higher rows are closed, lower ones empty
+                        if closed >> y & 1:
+                            closed |= succ[y]
+                    if closed >> (i + 1) << (i + 1) == high:
+                        succ[x] = closed
+                        break
+            if succ[x]:
+                break
+        else:
+            return
 
 
 def oracle_valid(f: Formula, max_worlds: int, eval_budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
     """Exhaustively check ``f`` on every ITF frame with 1..max_worlds worlds,
     every valuation of its atoms and every world.  Returns the first failure
     (frames by world count then relation mask, valuations by mask, worlds
-    ascending), or ValidUpTo(max_worlds)."""
+    ascending), or ValidUpTo(max_worlds).
+
+    The budget is checked against 2^(n^2-n) relation masks times 2^(atoms*n)
+    valuations times n worlds, summed over n: an upper bound on the work,
+    since only the ITF frames are generated and the valuations of a frame
+    are evaluated VALUATION_SLICE at a time."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     names = sorted(atoms(f))
@@ -267,70 +341,13 @@ def oracle_valid(f: Formula, max_worlds: int, eval_budget: int = DEFAULT_EVAL_BU
         raise BudgetExceededError(f"oracle_valid: estimated {cost} evaluations exceed the budget")
     for n in range(1, max_worlds + 1):
         for fr in enumerate_itf_frames(n):
-            _, full, succ, _ = _model_masks(Model(fr))
-            failure = _first_failure(f, names, full, succ)
+            _, full, pred, _ = _model_masks(Model(fr))
+            failure = _first_failure(f, names, full, pred)
             if failure is not None:
-                val_masks, true_mask = failure
-                w = next(i for i in range(n) if not true_mask >> i & 1)
-                val = {a: frozenset(i for i in range(n) if val_masks[a] >> i & 1) for a in names}
+                v, w = failure
+                val = {a: frozenset(x for x in range(n) if v >> (i * n + x) & 1) for i, a in enumerate(names)}
                 return Falsified(make_model(fr.worlds, fr.rel, val), w)
     return ValidUpTo(max_worlds)
-
-
-# --- bisimulation -------------------------------------------------------------
-
-def _atom_names(*models: Model) -> list[str]:
-    names: set[str] = set()
-    for m in models:
-        names.update(a for a, _ in m.val)
-    return sorted(names)
-
-
-def _atoms_agree(m1: Model, m2: Model, w1: int, w2: int, names: list[str]) -> bool:
-    return all((w1 in m1.true_worlds(a)) == (w2 in m2.true_worlds(a)) for a in names)
-
-
-def _zig_zag(m1: Model, m2: Model, w1: int, w2: int, Z) -> bool:
-    """Forth and back for the pair (w1, w2): every successor of ``w1`` is
-    related by ``Z`` to some successor of ``w2``, and vice versa."""
-    forth = all(
-        any((w2, u2) in m2.frame.rel and (u1, u2) in Z for u2 in m2.frame.worlds)
-        for u1 in m1.frame.worlds
-        if (w1, u1) in m1.frame.rel
-    )
-    return forth and all(
-        any((w1, u1) in m1.frame.rel and (u1, u2) in Z for u1 in m1.frame.worlds)
-        for u2 in m2.frame.worlds
-        if (w2, u2) in m2.frame.rel
-    )
-
-
-def is_bisimulation(m1: Model, m2: Model, Z: frozenset[tuple[int, int]] | set) -> bool:
-    """Do the pairs in ``Z`` satisfy membership, atom agreement, and the
-    forth and back conditions?  The empty relation qualifies vacuously."""
-    names = _atom_names(m1, m2)
-    return all(
-        w1 in m1.frame.worlds and w2 in m2.frame.worlds
-        and _atoms_agree(m1, m2, w1, w2, names) and _zig_zag(m1, m2, w1, w2, Z)
-        for w1, w2 in Z
-    )
-
-
-def largest_bisimulation(m1: Model, m2: Model) -> frozenset[tuple[int, int]]:
-    """Greatest bisimulation between two models: start from atom agreement
-    and refine until the forth/back conditions stabilize."""
-    names = _atom_names(m1, m2)
-    Z = {
-        (w1, w2)
-        for w1 in m1.frame.worlds
-        for w2 in m2.frame.worlds
-        if _atoms_agree(m1, m2, w1, w2, names)
-    }
-    while True:
-        keep = {(w1, w2) for w1, w2 in Z if _zig_zag(m1, m2, w1, w2, Z)}
-        if keep == Z:
-            return frozenset(Z)
-        Z = keep
 
 
 # --- model file format --------------------------------------------------------
@@ -393,7 +410,7 @@ def model_from_json(text: str) -> tuple[Model, int | None]:
 def model_to_dot(m: Model, falsified_at: int | None = None) -> str:
     """Graph description of a model: one node per world labelled with the
     atoms true there, one edge per relation pair."""
-    names = _atom_names(m)
+    names = sorted({a for a, _ in m.val})
     lines = ["digraph model {"]
     for w in sorted(m.frame.worlds):
         true_here = [a for a in names if w in m.true_worlds(a)]

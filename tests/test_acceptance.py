@@ -109,9 +109,9 @@ def test_criterion_05_soundness_cross_check(corpus_search):
     results, _ = corpus_search
     bad = []
     for f, r in results:
-        if isinstance(r, Proved) and oracle_valid(f, 3) != ValidUpTo(3):
+        if isinstance(r, Proved) and oracle_valid(f, 4) != ValidUpTo(4):
             bad.append(f)
-    _report(5, "every proved corpus formula is ITF-valid up to 3 worlds", not bad,
+    _report(5, "every proved corpus formula is ITF-valid up to 4 worlds", not bad,
             f"checked {sum(isinstance(r, Proved) for _, r in results)} formulas")
 
 
@@ -187,7 +187,7 @@ def _formulas_up_to(size_cap: int, atom_names) -> list:
 
 
 def test_criterion_10_bisimulation_invariance():
-    from glprover.semantics import largest_bisimulation
+    from glprover.bisimulation import largest_bisimulation
 
     shapes = _formulas_up_to(4, ("p", "q"))
     rng = random.Random(4242)

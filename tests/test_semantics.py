@@ -1,18 +1,22 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_formula, random_model
+from glprover.bisimulation import is_bisimulation, largest_bisimulation
 from glprover.errors import BudgetExceededError
 from glprover.semantics import (
-    Falsified, Frame, UnknownWorldError, ValidUpTo,
-    enumerate_frames, enumerate_itf_frames, frame_valid, holds,
-    is_bisimulation, is_itf, is_transnt_finite, itf_report,
-    largest_bisimulation, make_model, model_from_json, model_to_json,
-    oracle_valid, truth_sets,
+    VALUATION_SLICE, Falsified, Frame, Model, UnknownWorldError, ValidUpTo,
+    _eval_mask, _first_failure, _model_masks, enumerate_frames,
+    enumerate_itf_frames, frame_valid, holds, is_itf, is_transnt_finite,
+    itf_report, make_model, model_from_json, model_to_json, oracle_valid,
+    truth_sets,
 )
 from glprover.syntax import (
-    And, Atom, Box, FALSE, Falsum, Iff, Imp, Not, Or, TRUE, Verum, modal_depth, parse,
+    And, Atom, Box, FALSE, Falsum, Iff, Imp, Not, Or, TRUE, Verum, atoms, modal_depth, parse,
 )
 
 P = Atom("p")
@@ -180,6 +184,26 @@ def test_mask_evaluator_agrees_with_holds():
             assert (w in truth_set) == reference_holds(m, f, w) == holds(m, f, w)
 
 
+def test_evaluator_has_no_depth_limit():
+    f = P
+    for _ in range(2 * sys.getrecursionlimit()):
+        f = Not(Box(f))
+    m = make_model([0, 1], [(0, 1)], {"p": [1]})
+    # World 1 has no successor, so every Not(Box ...) layer is false there;
+    # world 0 sees only world 1, so from the second layer on it is true there.
+    assert truth_sets(m)(f) == frozenset({0})
+    assert holds(m, Not(f), 1)
+
+
+def test_evaluator_walks_shared_subformulas_once():
+    f = Imp(P, Box(P))
+    for _ in range(60):  # 2^60 leaves as a tree, 62 nodes as a DAG
+        f = And(f, f)
+    m = make_model([0, 1], [(0, 1)], {"p": [0]})
+    assert truth_sets(m)(f) == frozenset({1})
+    assert oracle_valid(f, 2) == oracle_valid(Imp(P, Box(P)), 2)
+
+
 def test_is_bisimulation_empty_and_identity():
     m = make_model([0, 1], [(0, 1)], {"p": [1]})
     assert is_bisimulation(m, m, frozenset())
@@ -242,3 +266,107 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_frames(3)) == 512
     # strict partial orders on 3 labelled points
     assert sum(1 for _ in enumerate_itf_frames(3)) == 19
+
+
+# --- the oracle against the filtering enumerator and one valuation at a time ---
+
+def reference_itf_frames(n):
+    """Every relation on worlds 0..n-1 over the pairs (x, y) with x != y,
+    ascending by mask, kept when it is ITF: the order the direct generator
+    must reproduce."""
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    for mask in range(1 << len(pairs)):
+        fr = Frame(frozenset(range(n)), frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
+        if is_itf(fr):
+            yield fr
+
+
+def reference_first_failure(f, names, fr):
+    """(valuation index, world) of the first failure of ``f`` on ``fr``,
+    evaluating one valuation at a time in ascending index; None if valid."""
+    _, full, pred, _ = _model_masks(Model(fr))
+    n = len(pred)
+    for v in range(2 ** (len(names) * n)):
+        true_mask = _eval_mask(f, full, pred, {a: v >> (i * n) & full for i, a in enumerate(names)}, 1, {})
+        if true_mask != full:
+            return v, next(w for w in range(n) if not true_mask >> w & 1)
+    return None
+
+
+def reference_oracle(f, max_worlds):
+    names = sorted(atoms(f))
+    for n in range(1, max_worlds + 1):
+        for fr in reference_itf_frames(n):
+            failure = reference_first_failure(f, names, fr)
+            if failure is not None:
+                v, w = failure
+                val = {a: [x for x in range(n) if v >> (i * n + x) & 1] for i, a in enumerate(names)}
+                return Falsified(make_model(fr.worlds, fr.rel, val), w)
+    return ValidUpTo(max_worlds)
+
+
+def _relation_mask(fr):
+    n = len(fr.worlds)
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    return sum(1 << k for k, p in enumerate(pairs) if p in fr.rel)
+
+
+def test_itf_frames_equal_the_filtered_enumeration():
+    for n in range(1, 5):
+        assert list(enumerate_itf_frames(n)) == list(reference_itf_frames(n))
+
+
+def test_itf_frames_are_the_labelled_strict_partial_orders():
+    # OEIS A001035: 1, 3, 19, 219, 4231 strict partial orders on 1..5 points.
+    # Distinct, all ITF, and as many as there are: every one, once.
+    for n, count in zip(range(1, 6), (1, 3, 19, 219, 4231)):
+        frames = list(enumerate_itf_frames(n))
+        masks = [_relation_mask(fr) for fr in frames]
+        assert len(frames) == count
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        assert all(fr.worlds == frozenset(range(n)) and is_itf(fr) for fr in frames)
+
+
+def test_oracle_equals_reference_on_corpus(corpus):
+    for f in corpus:
+        for max_worlds in (1, 2, 3):
+            assert oracle_valid(f, max_worlds) == reference_oracle(f, max_worlds), f
+
+
+def test_frame_valid_equals_reference_on_every_small_frame(corpus):
+    formulas = [LOB, parse("Box p --> p"), parse("Box (p --> q) --> (Box p --> Box q)")]
+    formulas += [f for f in corpus if len(atoms(f)) <= 2][:8]
+    for n in (1, 2, 3):
+        for fr in enumerate_frames(n):
+            for f in formulas:
+                assert frame_valid(fr, f) == (reference_first_failure(f, sorted(atoms(f)), fr) is None)
+
+
+def test_first_failure_in_a_later_slice():
+    # On 4 worlds with 3 atoms there are 4 slices of 1024 valuations; with
+    # only 2 seeing 3, the first failure needs r at world 3, index bit 11.
+    f = Or(Imp(Box(Atom("r")), Box(FALSE)), And(Atom("p"), Atom("q")))
+    fr = Frame(frozenset(range(4)), frozenset({(2, 3)}))
+    _, full, pred, _ = _model_masks(Model(fr))
+    names = sorted(atoms(f))
+    assert 2 ** (len(names) * 4) == 4 * VALUATION_SLICE
+    assert _first_failure(f, names, full, pred) == reference_first_failure(f, names, fr) == (2048, 2)
+
+
+_ORACLE_PROPERTY = settings(derandomize=True, max_examples=400, deadline=None, database=None)
+_small_formulas = st.recursive(
+    st.sampled_from([Atom("p"), Atom("q"), TRUE, FALSE]),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(Box, sub), st.builds(And, sub, sub),
+                          st.builds(Or, sub, sub), st.builds(Imp, sub, sub), st.builds(Iff, sub, sub)),
+    max_leaves=6,
+)
+
+
+@_ORACLE_PROPERTY
+@given(_small_formulas, st.integers(1, 3))
+def test_oracle_property(f, max_worlds):
+    verdict = oracle_valid(f, max_worlds)
+    assert verdict == reference_oracle(f, max_worlds)
+    if isinstance(verdict, Falsified):
+        assert is_itf(verdict.model.frame)
+        assert not reference_holds(verdict.model, f, verdict.world)

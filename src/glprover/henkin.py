@@ -7,16 +7,20 @@ demands a fresh boxed witness, and an atom is true at a world exactly when it
 is a member.  Consistency of a list is decided by the sequent prover on the
 negated conjunction of its members.  The construction is verified per
 instance by the truth-lemma check: membership must coincide with forcing.
+
+The worlds are built depth-first, settling subformulas children first.  The
+prover decides only the Box subformulas, each on the list settled so far;
+the constants, the atoms and the Boolean compounds are settled
+propositionally, and an inconsistent prefix is cut with all its extensions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InternalCheckError
 from .hilbert import conjlist
-from .semantics import Model, is_itf, make_model, truth_sets
+from .semantics import Model, _eval_mask, is_itf, make_model, truth_sets
 from .sequent import DEFAULT_MAX_STEPS, Proved, Refuted, search
 from .syntax import Atom, Box, Formula, Not, sort_key, subformulas, subsentences
 
@@ -107,25 +111,49 @@ class StandardModel:
 
 
 def _enumerate_worlds(p: Formula, max_candidates: int, max_steps: int) -> list[FormulaList]:
+    """The maximal consistent lists for ``p``, in canonical sort.
+
+    The subformulas are settled depth-first, children before parents, on an
+    explicit stack of branches.  A branch holds the truth value (1 or 0) of
+    each settled subformula: the subformula or its negation is a member.
+    The constants are fixed and the atoms take both values without a
+    search.  A Boolean compound takes the value its settled immediate
+    subformulas give it, since the other value makes the list
+    propositionally inconsistent.  So every branch is consistent up to its
+    next Box subformula, which takes each value whose list so far the prover
+    finds consistent: an inconsistent one is cut with all its extensions,
+    and a consistent list has a consistent value.  A leaf is rebuilt in
+    ``sort_key`` order, each member kept where it first occurs."""
     subs = sorted(subformulas(p), key=sort_key)
     if 2 ** len(subs) > max_candidates:
         raise BudgetExceededError(
             f"standard model construction: 2^{len(subs)} candidate worlds exceed the budget"
         )
-    seen: set[FormulaList] = set()
+    order = sorted(subs, key=lambda q: (len(subformulas(q)), sort_key(q)))
     worlds = []
-    for polarity in itertools.product((True, False), repeat=len(subs)):
-        candidate: list[Formula] = []
-        for q, keep in zip(subs, polarity):
-            choice = q if keep else Not(q)
-            if choice not in candidate:
-                candidate.append(choice)
-        key = tuple(candidate)
-        if key in seen:
-            continue
-        seen.add(key)
-        if consistent(sorted(candidate, key=sort_key), max_steps):
-            worlds.append(key)
+    stack: list[tuple[int, dict[Formula, int]]] = [(0, {})]
+    while stack:
+        i, value = stack.pop()
+        while i < len(order):
+            q = order[i]
+            i += 1
+            if isinstance(q, Atom):
+                options = [1, 0]
+            elif isinstance(q, Box):
+                members = {g if v else Not(g) for g, v in value.items()}
+                options = [v for v in (1, 0)
+                           if consistent(sorted(members | {q if v else Not(q)}, key=sort_key), max_steps)]
+                if not options:
+                    raise InternalCheckError("a consistent list has no consistent extension")
+            else:
+                # a constant or a Boolean compound: its value in one world
+                # where the settled subformulas have theirs
+                _eval_mask(q, 1, [], {}, 1, value)
+                continue
+            for v in options[1:]:
+                stack.append((i, {**value, q: v}))
+            value[q] = options[0]
+        worlds.append(tuple(dict.fromkeys(q if value[q] else Not(q) for q in subs)))
     worlds.sort(key=lambda lst: tuple(sort_key(q) for q in lst))
     return worlds
 
@@ -138,8 +166,14 @@ def build_standard_model(
     """None when ``p`` is a theorem; otherwise the indexed standard model
     together with a world list containing Not p, at which ``p`` fails.
 
-    The frame is checked to be irreflexive-transitive and the truth lemma is
-    checked on every (world, subformula) pair before returning."""
+    ``max_candidates`` bounds 2^|subformulas|, the number of polarity
+    vectors.  The prover decides ``p`` and, for each Box subformula on each
+    branch that reaches it, the consistency of the list settled so far; the
+    other subformulas are settled propositionally (see
+    ``_enumerate_worlds``).  The frame is checked to be
+    irreflexive-transitive and the truth lemma is checked on every (world,
+    subformula) pair before returning; by soundness the latter also
+    certifies that every world is consistent."""
     if isinstance(search(p, max_steps), Proved):
         return None
     worlds = _enumerate_worlds(p, max_candidates, max_steps)

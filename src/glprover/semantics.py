@@ -92,43 +92,49 @@ def _eval_mask(f: Formula, full: int, pred: list[int], val_masks: dict[str, int]
     the DAG is evaluated once for all the formulas evaluated with one memo."""
     stack = [f]
     while stack:
-        g = stack.pop()
+        g = stack[-1]
         if g in memo:
+            stack.pop()
             continue
-        if isinstance(g, Not | Box):
-            todo = [k for k in (g.sub,) if k not in memo]
-        elif isinstance(g, And | Or | Imp | Iff):
-            todo = [k for k in (g.left, g.right) if k not in memo]
-        else:
-            todo = []
-        if todo:
-            stack.append(g)
-            stack.extend(todo)
-            continue
-        if isinstance(g, Falsum):
-            mask = 0
-        elif isinstance(g, Verum):
-            mask = full
-        elif isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             mask = val_masks.get(g.name, 0)
-        elif isinstance(g, Not):
-            mask = full & ~memo[g.sub]
-        elif isinstance(g, Box):
-            missing, failed = full & ~memo[g.sub], 0
-            for k, p in enumerate(pred):
-                failed |= (missing >> k & unit) * p
-            mask = full & ~failed
-        elif isinstance(g, And):
-            mask = memo[g.left] & memo[g.right]
-        elif isinstance(g, Or):
-            mask = memo[g.left] | memo[g.right]
-        elif isinstance(g, Imp):
-            mask = (full & ~memo[g.left]) | memo[g.right]
-        elif isinstance(g, Iff):
-            mask = full & ~(memo[g.left] ^ memo[g.right])
+        elif t is Not or t is Box:
+            a = memo.get(g.sub)
+            if a is None:
+                stack.append(g.sub)
+                continue
+            if t is Not:
+                mask = full & ~a
+            else:
+                missing, failed = full & ~a, 0
+                for k, p in enumerate(pred):
+                    failed |= (missing >> k & unit) * p
+                mask = full & ~failed
+        elif t is And or t is Or or t is Imp or t is Iff:
+            a, b = memo.get(g.left), memo.get(g.right)
+            if a is None or b is None:
+                if a is None:
+                    stack.append(g.left)
+                if b is None:
+                    stack.append(g.right)
+                continue
+            if t is And:
+                mask = a & b
+            elif t is Or:
+                mask = a | b
+            elif t is Imp:
+                mask = (full & ~a) | b
+            else:
+                mask = full & ~(a ^ b)
+        elif t is Falsum:
+            mask = 0
+        elif t is Verum:
+            mask = full
         else:
             raise TypeError(f"not a formula: {g!r}")
         memo[g] = mask
+        stack.pop()
     return memo[f]
 
 

@@ -6,12 +6,13 @@ from glprover.cli import main
 from glprover.hilbert import proof_to_json, verum_proof
 from glprover.semantics import holds, is_itf, model_from_json, model_to_json
 from glprover.sequent import check_derivation, derivation_from_json
-from glprover.syntax import parse
+from glprover.syntax import Not, parse, subformulas
 
 PROOF_DIR = pathlib.Path(__file__).resolve().parent.parent / "proofs"
 
 REFLECTION = "Box (Box p || Box (Not p)) --> (Box p || Box (Not p))"
 GL_AXIOM = "Box (Box p --> p) --> Box p"
+DIAMONDS = "Diam p && Diam q --> Diam (p && Diam q)"  # 14 subformulas
 
 
 def test_prove_theorem_exit_0(capsys):
@@ -194,6 +195,17 @@ def test_henkin_step_budget_exit_3(capsys):
 def test_henkin_oversized_exit_3():
     big = " && ".join(f"a{i}" for i in range(14))
     assert main(["henkin", big]) == 3
+
+
+def test_henkin_worlds_settle_every_subformula(tmp_path):
+    path = tmp_path / "worlds.json"
+    assert main(["henkin", DIAMONDS, "--eval-budget", "16384", "--emit-worlds", str(path)]) == 1
+    sidecar = json.loads(path.read_text())
+    assert len(sidecar) == 20
+    subs = subformulas(parse(DIAMONDS))
+    for members in sidecar.values():
+        members = {parse(text) for text in members}
+        assert all((q in members) != (Not(q) in members) for q in subs)
 
 
 def test_bisim_self_contains_identity(tmp_path, capsys):

@@ -1,13 +1,18 @@
+import itertools
+
 import pytest
 
-from glprover.errors import BudgetExceededError
+from glprover import henkin
+from glprover.errors import BudgetExceededError, InternalCheckError
 from glprover.henkin import (
     StandardModel, build_standard_model, consistent, extend_maximal_consistent,
     gl_standard_rel, is_maximal_consistent, truth_lemma_check, world_lists_to_dict,
 )
 from glprover.semantics import holds, is_itf, make_model
 from glprover.sequent import Proved, Refuted, search
-from glprover.syntax import And, Atom, Box, FALSE, Not, parse, subformulas
+from glprover.syntax import (
+    And, Atom, Box, FALSE, Imp, Not, Or, TRUE, parse, sort_key, subformulas,
+)
 
 P, Q = Atom("p"), Atom("q")
 BOX_FALSE = Box(FALSE)
@@ -157,3 +162,113 @@ def test_world_lists_sidecar():
     doc = world_lists_to_dict(sm)
     assert set(doc) == {"0", "1"}
     assert doc["0"] == ["Not False", "Not Box False"]
+
+
+def reference_enumerate_worlds(p, max_candidates, max_steps):
+    """The brute-force enumerator: one consistency search for each of the
+    2^|sub| polarity vectors, each candidate built in ``sort_key`` order."""
+    subs = sorted(subformulas(p), key=sort_key)
+    if 2 ** len(subs) > max_candidates:
+        raise BudgetExceededError(
+            f"standard model construction: 2^{len(subs)} candidate worlds exceed the budget"
+        )
+    seen = set()
+    worlds = []
+    for polarity in itertools.product((True, False), repeat=len(subs)):
+        candidate = []
+        for q, keep in zip(subs, polarity):
+            choice = q if keep else Not(q)
+            if choice not in candidate:
+                candidate.append(choice)
+        key = tuple(candidate)
+        if key in seen:
+            continue
+        seen.add(key)
+        if consistent(sorted(candidate, key=sort_key), max_steps):
+            worlds.append(key)
+    worlds.sort(key=lambda lst: tuple(sort_key(q) for q in lst))
+    return worlds
+
+
+HENKIN_BENCHMARK = (
+    "Box (Box p --> p) --> Box p",
+    "Box (p --> q) --> Box p --> Box q",
+    "Box (p || q) --> Box p || Diam q",
+    "Box (Box p1 || Box Not p1) --> Box p1 || Box Not p1",
+    "Box (p || q) --> Box p || Box q",
+    "Box (Diam p --> p) --> Box p",
+    "Box (Box p --> q) || Box (Box q --> p)",
+    "Box (p || q) --> Box p || Box q || r",
+    "Box (Box p --> q) || Box (Box q --> p) || r",
+)
+BOX_OR_3 = "Box (p || q || r) --> Box p || Box q || Box r"  # 12 subformulas
+DIAMONDS = "Diam p && Diam q --> Diam (p && Diam q)"  # 14 subformulas
+
+
+def test_worlds_match_reference_enumerator(corpus, monkeypatch):
+    targets = [f for f in corpus if len(subformulas(f)) <= 11]
+    targets += [parse(text) for text in (*HENKIN_BENCHMARK, BOX_OR_3)]
+    assert len(targets) == 169
+    built = [build_standard_model(f) for f in targets]
+    monkeypatch.setattr(henkin, "_enumerate_worlds", reference_enumerate_worlds)
+    for f, out in zip(targets, built):
+        expected = build_standard_model(f)
+        assert (out is None) == (expected is None), f
+        if out is not None:
+            (sm, world), (ref_sm, ref_world) = out, expected
+            assert sm.worlds == ref_sm.worlds, f
+            assert sm.model == ref_sm.model, f
+            assert world == ref_world, f
+
+
+def test_consistency_searches_only_at_boxes(monkeypatch):
+    calls = []
+
+    def counting_search(f, max_steps):
+        calls.append(f)
+        return search(f, max_steps)
+
+    monkeypatch.setattr(henkin, "search", counting_search)
+    f = parse(DIAMONDS)
+    out = build_standard_model(f, max_candidates=2 ** 14)
+    assert out is not None and len(out[0].worlds) == 20
+    # the theoremhood check and at most two searches per Box reached,
+    # against 2^14 brute-force candidates
+    assert len(calls) == 57
+
+
+def test_box_with_no_consistent_value_is_an_internal_error(monkeypatch):
+    # the prover refutes Box p --> p, so a list settled up to Box p is
+    # consistent; an engine that finds both values of Box p inconsistent
+    # contradicts itself
+    monkeypatch.setattr(henkin, "consistent", lambda xs, max_steps: False)
+    with pytest.raises(InternalCheckError):
+        build_standard_model(parse("Box p --> p"))
+
+
+def test_thousands_of_subformulas_build_without_recursion():
+    # A Box-free formula over one atom: a balanced disjunction of thousands
+    # of distinct shallow formulas, each false where p holds.  No rule splits
+    # ``right`` on the right of a sequent or ``left`` on the left, so the
+    # prover refutes it on one branch.
+    p = Atom("p")
+    right, left = [p, FALSE], [p, TRUE]
+    for _ in range(2):
+        right, left = (
+            list(dict.fromkeys(right + [Or(a, b) for a in right for b in right]
+                               + [Imp(a, b) for a in left for b in right] + [Not(a) for a in left])),
+            list(dict.fromkeys(left + [And(a, b) for a in left for b in left] + [Not(a) for a in right])),
+        )
+    where_p = make_model([0], [], {"p": [0]})
+    false = [g for g in right if not holds(where_p, g, 0)]
+    xs = [Or(a, b) for a in false for b in false][:3000]
+    while len(xs) > 1:
+        xs = [Or(a, b) for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) - len(xs) % 2:]
+    f = xs[0]
+    assert len(subformulas(f)) > 5000
+    out = build_standard_model(f, max_candidates=2 ** len(subformulas(f)))
+    assert out is not None
+    sm, world = out
+    assert len(sm.worlds) == 2
+    assert not holds(sm.model, f, sm.worlds.index(world))
+

@@ -4,7 +4,8 @@ Exit statuses: 0 = theorem proved (or check passed), 1 = refuted / rejected
 (countermodel or report emitted), 2 = usage or input error, 3 = resource
 budget exceeded.  Failed self-checks of either verdict and any other
 unexpected exception exit with 4; they indicate an engine bug, never bad
-input.  Input nested too deeply for the recursive engine exits with 2.
+input.  Input nested too deeply for the recursive parser or printer exits
+with 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import bisimulation, henkin, hilbert, semantics, sequent
 from .errors import BudgetExceededError, InternalCheckError
-from .syntax import ParseError, parse, pretty
+from .syntax import Formula, ParseError, parse, pretty
 
 PROVED, REFUTED, USAGE_ERROR, BUDGET_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
@@ -36,31 +37,23 @@ def _emit(text: str, destination: str | None):
             fh.write(text)
 
 
-def _read_formula(args) -> "tuple[object, int] | object":
+class _UsageError(Exception):
+    """Input that cannot be read; ``main`` reports it and exits 2."""
+
+
+def _read_formula(args) -> Formula:
     text = args.formula
-    if text is None and getattr(args, "file", None):
-        try:
-            with open(args.file) as fh:
-                text = fh.read().strip()
-        except OSError as exc:
-            return None, _fail(str(exc))
+    if text is None and args.file:
+        with open(args.file) as fh:
+            text = fh.read().strip()
     if text is None:
-        return None, _fail("no formula given (inline argument or --file)")
-    try:
-        return parse(text), -1
-    except ParseError as exc:
-        return None, _fail(str(exc))
+        raise _UsageError("no formula given (inline argument or --file)")
+    return parse(text)
 
 
 def cmd_prove(args) -> int:
-    formula, status = _read_formula(args)
-    if formula is None:
-        return status
-    try:
-        result = sequent.search(formula, max_steps=args.max_steps)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return BUDGET_ERROR
+    formula = _read_formula(args)
+    result = sequent.search(formula, max_steps=args.max_steps)
     if isinstance(result, sequent.Proved):
         d = result.derivation
         if not sequent.check_derivation(d, formula):
@@ -91,10 +84,7 @@ def cmd_check_model(args) -> int:
             model, _ = semantics.model_from_json(fh.read())
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read model: {exc}")
-    try:
-        formula = parse(args.formula)
-    except ParseError as exc:
-        return _fail(str(exc))
+    formula = parse(args.formula)
     if args.world not in model.frame.worlds:
         return _fail(f"world {args.world} is not in the model")
     problems = semantics.itf_report(model.frame)
@@ -111,16 +101,10 @@ def cmd_check_model(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    formula, status = _read_formula(args)
-    if formula is None:
-        return status
+    formula = _read_formula(args)
     if args.max_worlds < 1:
         return _fail("--max-worlds must be at least 1")
-    try:
-        verdict = semantics.oracle_valid(formula, args.max_worlds, eval_budget=args.eval_budget)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return BUDGET_ERROR
+    verdict = semantics.oracle_valid(formula, args.max_worlds, eval_budget=args.eval_budget)
     if isinstance(verdict, semantics.ValidUpTo):
         print(f"valid on every ITF frame with up to {verdict.bound} worlds")
         return PROVED
@@ -130,15 +114,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_henkin(args) -> int:
-    formula, status = _read_formula(args)
-    if formula is None:
-        return status
-    try:
-        outcome = henkin.build_standard_model(formula, max_candidates=args.eval_budget,
-                                              max_steps=args.max_steps)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return BUDGET_ERROR
+    formula = _read_formula(args)
+    outcome = henkin.build_standard_model(formula, max_candidates=args.eval_budget,
+                                          max_steps=args.max_steps)
     if outcome is None:
         print(f"theorem: {pretty(formula)} (no standard countermodel)")
         return PROVED
@@ -243,6 +221,11 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a replaced cmd_<command> takes effect
         return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except BudgetExceededError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return BUDGET_ERROR
+    except (_UsageError, ParseError, OSError) as exc:
+        return _fail(str(exc))
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
@@ -258,3 +241,7 @@ def main(argv=None) -> int:
 
 def console_entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

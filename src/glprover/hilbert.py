@@ -161,9 +161,10 @@ def conjlist(fs) -> Formula:
     fs = list(fs)
     if not fs:
         return TRUE
-    if len(fs) == 1:
-        return fs[0]
-    return And(fs[0], conjlist(fs[1:]))
+    acc = fs[-1]
+    for f in reversed(fs[:-1]):
+        acc = And(f, acc)
+    return acc
 
 
 # --- a small shipped lemma corpus ----------------------------------------------

@@ -275,18 +275,13 @@ class Falsified:
 Verdict = ValidUpTo | Falsified
 
 
-def _frames(n: int, pairs: list[tuple[int, int]]):
-    """Frames on worlds 0..n-1, one per subset of ``pairs``, ascending by
-    relation bitmask (bit k selects pair k)."""
-    worlds = frozenset(range(n))
-    for mask in range(1 << len(pairs)):
-        yield Frame(worlds, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
-
-
 def enumerate_frames(n: int):
     """All frames on worlds 0..n-1, ascending by relation bitmask over the
-    lexicographic ordering of all n^2 pairs."""
-    yield from _frames(n, [(x, y) for x in range(n) for y in range(n)])
+    lexicographic ordering of all n^2 pairs (bit k selects pair k)."""
+    worlds = frozenset(range(n))
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    for mask in range(1 << len(pairs)):
+        yield Frame(worlds, frozenset(p for k, p in enumerate(pairs) if mask >> k & 1))
 
 
 def enumerate_itf_frames(n: int):

@@ -9,12 +9,13 @@ the best candidate under a fixed ordering heuristic.  A branch that saturates
 without closing yields a finite irreflexive-transitive countermodel, which is
 validated semantically before being returned.
 
-Each step is indexed: a branch keeps the instances its rules could fire
-(closures found as formulas arrive, compound formulas per side, heaps of
-Trans and LBox instances fed as relational atoms and left boxes arrive), so
-selecting the next rule never scans the whole sequent or relation.  The
-rule sequence is the one the fixed ordering defines; the indexes only find
-it faster.
+A branch is its sequent plus one agenda: a heap of the instances of every
+rule but the Loeb right-box rule, ranked by the fixed order and pushed as
+formulas and relational atoms arrive, so selecting the next rule never
+scans the whole sequent or relation.  The rule sequence is the one the fixed
+ordering defines; the agenda only finds it faster.  The search is one loop:
+the premises of a split wait on an explicit stack, so the number of splits
+on a branch is not bounded by the interpreter's recursion limit.
 
 The search returns a rule tree; the derivation module checks and writes it,
 independently of the search, and its functions are re-exported here.
@@ -67,38 +68,40 @@ _PROP_RULES = {
     LOR: (True, (Or,), lambda f: [((f.left,), ()), ((f.right,), ())]),
     LIMP: (True, (Imp,), lambda f: [((), (f.left,)), ((f.right,), ())]),
 }
-_COMPOUND = (And, Iff, Or, Not, Imp)
+# The propositional rule whose principal is a formula of this type on this side.
+_PROP_RULE_OF = {(on_left, kind): rule for rule, (on_left, kinds, _) in _PROP_RULES.items()
+                 for kind in kinds}
+# The fixed order of the rules an agenda holds: a branch applies the least
+# live instance, and the Loeb right-box rule only when none is left.
+_RANK = {rule: rank for rank, rule in enumerate((INIT, LBOT, IRREF, RTOP, *_PROP_RULES, TRANS, LBOX))}
 
 
 class _Branch:
-    """Mutable working state of one search branch, with the rule instances
-    already applied on it (``bookkeeping``) and the indexes that candidate
-    selection reads instead of scanning the sequent, kept up to date as
-    formulas and relational atoms are added and principals dropped:
+    """Mutable working state of one search branch: its sequent, the rule
+    instances already applied on it (``bookkeeping``), and the ``agenda``
+    that candidate selection reads instead of scanning the sequent.
 
     - ``succ``: the successors of each label, which hold the relational
       atoms, and ``boxes``: the left boxed formulas of each label, both as
       immutable values, so that a copy of the branch shares them;
-    - ``closing``: the closed-branch instances, tested on each insertion, as
-      ``(rank, key, rule, principal)``;
-    - ``todo_left``/``todo_right``: the compound formulas on each side, the
-      candidates of the propositional rules;
-    - ``trans`` and ``lbox``: heaps of the Trans instances ``(x, y, z)`` with
-      xRy and yRz, and of the LBox instances ``(x, sort_key(f), y, f)`` with
-      x:f on the left and xRy, fed as relational atoms and left boxes arrive.
-      An instance stays in its heap after it is applied; selection pops it.
+    - ``agenda``: one heap of the instances of every rule but RBoxLob, as
+      ``(rank, key, rule, principal)``, pushed as formulas and relational
+      atoms arrive.  ``rank`` is the rule's place in the fixed order and
+      ``key`` orders the instances of one rule: the labelled formula's
+      ``(x, sort_key(f))`` for Init and the propositional rules, the label
+      for LBot, Irref and RTop, ``(x, y, z)`` for Trans and
+      ``(x, sort_key(f), y)`` for LBox.  An instance stays on the agenda
+      after it is applied or its principal goes; selection pops it then.
     """
 
-    __slots__ = ("succ", "boxes", "left", "right", "bookkeeping", "todo_left", "todo_right",
-                 "closing", "trans", "lbox")
+    __slots__ = ("succ", "boxes", "left", "right", "bookkeeping", "agenda")
 
     def __init__(self, goal: Formula):
         self.succ: dict[int, frozenset[int]] = {}
         self.boxes: dict[int, tuple[Box, ...]] = {}
         self.left, self.right, self.bookkeeping = set(), set(), set()
-        self.todo_left, self.todo_right = set(), set()
-        self.closing, self.trans, self.lbox = [], [], []
-        self.add_right((0, goal))
+        self.agenda: list[tuple] = []
+        self.add(False, (0, goal))
 
     @property
     def rel(self) -> set[RelAtom]:
@@ -111,53 +114,44 @@ class _Branch:
             setattr(new, name, type(value)(value))
         return new
 
+    def push(self, rule: str, key, principal: tuple):
+        heappush(self.agenda, (_RANK[rule], key, rule, principal))
+
     def add_rel(self, x: int, y: int):
         succ_x = self.succ.get(x, frozenset())
         if y in succ_x:
             return
         succ_x = self.succ[x] = succ_x | {y}
         if x == y:
-            self.closing.append((2, x, IRREF, (x,)))
+            self.push(IRREF, x, (x,))
         for z in self.succ.get(y, ()):
             if z not in succ_x:
-                heappush(self.trans, (x, y, z))
+                self.push(TRANS, (x, y, z), (x, y, z))
         for w, succ_w in self.succ.items():
             if x in succ_w and y not in succ_w:
-                heappush(self.trans, (w, x, y))
+                self.push(TRANS, (w, x, y), (w, x, y))
         for f in self.boxes.get(x, ()):
-            heappush(self.lbox, (x, f.sort_key, y, f))
+            self.push(LBOX, (x, f.sort_key, y), (x, f, y))
 
-    def add_left(self, item: LabelledFormula):
-        if item in self.left:
+    def add(self, on_left: bool, item: LabelledFormula):
+        side, other = (self.left, self.right) if on_left else (self.right, self.left)
+        if item in side:
             return
-        self.left.add(item)
+        side.add(item)
         x, f = item
-        if item in self.right:
-            self.closing.append((0, _lf_key(item), INIT, item))
-        if isinstance(f, _COMPOUND):
-            self.todo_left.add(item)
-        elif isinstance(f, Box):
+        if item in other:
+            self.push(INIT, _lf_key(item), item)
+        rule = _PROP_RULE_OF.get((on_left, type(f)))
+        if rule is not None:
+            self.push(rule, _lf_key(item), item)
+        elif on_left and isinstance(f, Box):
             self.boxes[x] = self.boxes.get(x, ()) + (f,)
             for y in self.succ.get(x, ()):
-                heappush(self.lbox, (x, f.sort_key, y, f))
-        elif isinstance(f, Falsum):
-            self.closing.append((1, x, LBOT, item))
-
-    def add_right(self, item: LabelledFormula):
-        if item in self.right:
-            return
-        self.right.add(item)
-        x, f = item
-        if item in self.left:
-            self.closing.append((0, _lf_key(item), INIT, item))
-        if isinstance(f, _COMPOUND):
-            self.todo_right.add(item)
-        elif isinstance(f, Verum):
-            self.closing.append((3, x, RTOP, item))
-
-    def drop(self, on_left: bool, item: LabelledFormula):
-        (self.left if on_left else self.right).discard(item)
-        (self.todo_left if on_left else self.todo_right).discard(item)
+                self.push(LBOX, (x, f.sort_key, y), (x, f, y))
+        elif on_left and isinstance(f, Falsum):
+            self.push(LBOT, x, item)
+        elif not on_left and isinstance(f, Verum):
+            self.push(RTOP, x, item)
 
     def freeze(self) -> SequentState:
         return SequentState(frozenset(self.rel), frozenset(self.left), frozenset(self.right))
@@ -181,41 +175,25 @@ class _Searcher:
         if self.steps > self.max_steps:
             raise BudgetExceededError(f"proof search exceeded {self.max_steps} rule applications")
 
-    # -- deterministic candidate selection, through the branch indexes --
+    # -- deterministic candidate selection --
 
-    def find_close(self, br: _Branch):
-        # A rule application never removes what a closure needs, so the
-        # instances recorded since the last (open) step are all there are.
-        if br.closing:
-            _, _, rule, principal = min(br.closing)
-            return rule, principal
-        return None
-
-    def find_prop(self, br: _Branch):
-        if br.todo_left or br.todo_right:
-            for rule, (on_left, kinds, _) in _PROP_RULES.items():
-                todo = br.todo_left if on_left else br.todo_right
-                candidates = [item for item in todo if isinstance(item[1], kinds)]
-                if candidates:
-                    return rule, min(candidates, key=_lf_key)
-        return None
-
-    def find_trans(self, br: _Branch):
-        heap = br.trans
-        while heap:
-            x, _, z = heap[0]
-            if z not in br.succ[x]:
-                return heap[0]
-            heappop(heap)
-        return None
-
-    def find_lbox(self, br: _Branch):
-        heap = br.lbox
-        while heap:
-            x, _, y, f = heap[0]
-            if (LBOX, x, f, y) not in br.bookkeeping:
-                return (x, f, y)
-            heappop(heap)
+    def find_next(self, br: _Branch):
+        """The least live instance on the agenda, as ``(rule, principal)``;
+        the stale ones above it are popped."""
+        agenda = br.agenda
+        while agenda:
+            _, _, rule, principal = agenda[0]
+            if rule in _PROP_RULES:
+                live = principal in (br.left if _PROP_RULES[rule][0] else br.right)
+            elif rule == TRANS:
+                live = principal[2] not in br.succ[principal[0]]
+            elif rule == LBOX:
+                live = (LBOX, *principal) not in br.bookkeeping
+            else:  # a closure: no rule application removes what it needs
+                live = True
+            if live:
+                return rule, principal
+            heappop(agenda)
         return None
 
     def find_rboxlob(self, br: _Branch):
@@ -244,80 +222,73 @@ class _Searcher:
         on_left, _, decompose = _PROP_RULES[rule]
         x, f = principal
         parts = decompose(f)
+        (br.left if on_left else br.right).discard(principal)
         premises = [br.copy() for _ in parts[1:]] + [br]
         for premise, (lefts, rights) in zip(premises, parts):
-            premise.drop(on_left, principal)
             for g in lefts:
-                premise.add_left((x, g))
+                premise.add(True, (x, g))
             for g in rights:
-                premise.add_right((x, g))
+                premise.add(False, (x, g))
         return premises
 
     # -- the search loop --
 
     def expand(self, br: _Branch):
-        segments: list[tuple[str, tuple]] = []
-
-        def wrap(node: Derivation) -> Derivation:
-            for rule, principal in reversed(segments):
-                node = Derivation(rule, principal, (node,))
-            return node
-
+        """The derivation of ``br``'s sequent, or the first saturated open
+        branch.  The premises of a split wait on an explicit stack, so no
+        number of splits is too deep."""
+        # open splits: (rule, principal, segments above, finished subtrees, premises left)
+        splits: list[tuple] = []
+        segments: list[tuple[str, tuple]] = []  # one-premise steps since the last split
         while True:
-            closed = self.find_close(br)
-            if closed is not None:
-                rule, principal = closed
-                self.tick()
-                return wrap(Derivation(rule, principal))
-
-            prop = self.find_prop(br)
-            if prop is not None:
-                rule, principal = prop
-                self.tick()
-                premises = self.apply_prop(br, rule, principal)
-                if len(premises) == 1:
-                    segments.append(prop)
-                    continue
-                subtrees = []
-                while premises:  # popped, so that a finished premise is freed
-                    outcome = self.expand(premises.pop(0))
-                    if isinstance(outcome, _Open):
-                        return outcome
-                    subtrees.append(outcome)
-                return wrap(Derivation(rule, principal, tuple(subtrees)))
-
-            trans = self.find_trans(br)
-            if trans is not None:
-                x, y, z = trans
-                self.tick()
-                br.add_rel(x, z)
-                segments.append((TRANS, trans))
-                continue
-
-            lbox = self.find_lbox(br)
-            if lbox is not None:
-                x, f, y = lbox
-                self.tick()
-                br.add_left((y, f.sub))
-                br.bookkeeping.add((LBOX, x, f, y))
-                segments.append((LBOX, lbox))
-                continue
-
-            rbox = self.find_rboxlob(br)
-            if rbox is not None:
+            selected = self.find_next(br)
+            if selected is None:
+                rbox = self.find_rboxlob(br)
+                if rbox is None:
+                    return _Open(br.freeze())
                 x, f = rbox
                 y = self.next_label
                 self.next_label += 1
                 self.tick()
                 br.add_rel(x, y)
-                br.add_left((y, f))
-                br.drop(False, rbox)
-                br.add_right((y, f.sub))
+                br.add(True, (y, f))
+                br.right.discard(rbox)
+                br.add(False, (y, f.sub))
                 br.bookkeeping.add((RBOXLOB, x, f))
                 segments.append((RBOXLOB, (x, f, y)))
                 continue
 
-            return _Open(br.freeze())
+            rule, principal = selected
+            self.tick()
+            if rule == TRANS:
+                br.add_rel(principal[0], principal[2])
+            elif rule == LBOX:
+                x, f, y = principal
+                br.add(True, (y, f.sub))
+                br.bookkeeping.add((LBOX, x, f, y))
+            elif rule in _PROP_RULES:
+                premises = self.apply_prop(br, rule, principal)
+                if len(premises) > 1:
+                    splits.append((rule, principal, segments, [], premises))
+                    br, segments = premises.pop(0), []
+                    continue
+            else:  # a closed leaf: finish every split whose premises are all closed
+                node = Derivation(rule, principal)
+                while True:
+                    for step in reversed(segments):
+                        node = Derivation(*step, (node,))
+                    if not splits:
+                        return node
+                    rule, principal, segments, subtrees, premises = splits[-1]
+                    subtrees.append(node)
+                    if premises:
+                        break
+                    splits.pop()
+                    node = Derivation(rule, principal, tuple(subtrees))
+                # popped, so that a finished premise is freed
+                br, segments = premises.pop(0), []
+                continue
+            segments.append(selected)
 
 
 def extract_countermodel(branch: SequentState, root: int) -> tuple[Model, int]:

@@ -180,14 +180,23 @@ def atoms(f: Formula) -> frozenset[str]:
 
 
 def modal_depth(f: Formula) -> int:
-    """Maximum nesting depth of Box in ``f``."""
-    if isinstance(f, Box):
-        return 1 + modal_depth(f.sub)
-    if isinstance(f, Not):
-        return modal_depth(f.sub)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    return 0
+    """Maximum nesting depth of Box in ``f``.  The walk keeps an explicit
+    stack and visits each node of the subformula DAG once."""
+    depth: dict[Formula, int] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in depth:
+            stack.pop()
+            continue
+        children = [c for c in (getattr(g, name) for name in g._fields) if isinstance(c, Formula)]
+        pending = [c for c in children if c not in depth]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        depth[g] = max((depth[c] for c in children), default=0) + isinstance(g, Box)
+    return depth[f]
 
 
 # --- concrete syntax ---------------------------------------------------------

@@ -1,14 +1,20 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from glprover import cli, sequent
 from glprover.cli import main
 from glprover.hilbert import proof_to_json, verum_proof
 from glprover.semantics import holds, is_itf, model_from_json, model_to_json
 from glprover.sequent import check_derivation, derivation_from_json
-from glprover.syntax import Not, parse, subformulas
+from glprover.syntax import Atom, Not, Or, parse, pretty, subformulas
 
-PROOF_DIR = pathlib.Path(__file__).resolve().parent.parent / "proofs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PROOF_DIR = ROOT / "proofs"
 
 REFLECTION = "Box (Box p || Box (Not p)) --> (Box p || Box (Not p))"
 GL_AXIOM = "Box (Box p --> p) --> Box p"
@@ -68,6 +74,41 @@ def test_prove_deep_nesting_exit_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nested too deeply" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", GL_AXIOM, "--emit-proof"],
+    ["prove", REFLECTION, "--emit-countermodel"],
+    ["henkin", "Box False", "--emit-model"],
+])
+def test_unwritable_emit_path_exit_2(argv, tmp_path, capsys):
+    assert main(argv + [str(tmp_path / "missing" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "No such file or directory" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_prove_many_sequential_splits_refuted(capsys):
+    # a balanced disjunction of Not (a_i || b_i): 1,500 LOr splits, one
+    # after another on the branch that stays open
+    fs = [Not(Or(Atom(f"a{i}"), Atom(f"b{i}"))) for i in range(1500)]
+    while len(fs) > 1:
+        fs = [Or(*fs[k:k + 2]) if k + 1 < len(fs) else fs[k] for k in range(0, len(fs), 2)]
+    f = fs[0]
+    assert len(subformulas(f)) == 7499
+    assert isinstance(sequent.search(f), sequent.Refuted)
+    assert main(["prove", pretty(f)]) == 1
+    assert capsys.readouterr().out.startswith("refuted:")
+
+
+@pytest.mark.parametrize("formula, code, verdict", [("p", 1, "refuted:"), ("p --> p", 0, "proved:")])
+def test_run_as_module(formula, code, verdict):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-m", "glprover.cli", "prove", formula],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == code
+    assert run.stdout.startswith(verdict)
 
 
 def test_unexpected_exception_exit_4(monkeypatch, capsys):

@@ -108,6 +108,15 @@ def test_conjlist():
     assert conjlist([P, Q, R]) == And(P, And(Q, R))
 
 
+def test_conjlist_of_more_atoms_than_the_recursion_limit():
+    atoms = [Atom(f"a{i}") for i in range(2000)]
+    f = conjlist(atoms)
+    for a in atoms[:-1]:
+        assert isinstance(f, And) and f.left is a
+        f = f.right
+    assert f is atoms[-1]
+
+
 def test_proof_json_roundtrip():
     pf = verum_proof()
     text = proof_to_json(pf)

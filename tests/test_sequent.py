@@ -8,7 +8,7 @@ from glprover.errors import BudgetExceededError
 from glprover.semantics import Falsified, holds, is_itf, oracle_valid
 from glprover.sequent import (
     Derivation, INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR,
-    Proved, RAND, RBOXLOB, RIMP, RNOT, ROR, RTOP, Refuted, TWO_PREMISE_RULES,
+    Proved, RAND, RBOXLOB, RIMP, RNOT, ROR, RTOP, Refuted, TRANS, TWO_PREMISE_RULES,
     _Branch, _Open, _Searcher, check_derivation, derivation_error,
     derivation_from_json, derivation_to_dot,
     derivation_to_json, derivation_to_text, extract_countermodel, search,
@@ -274,6 +274,16 @@ def _lf_key(item):
 class _ScanningSearcher(_Searcher):
     """Reference selectors that scan and sort the whole sequent and relation
     at every step; the indexed selectors must choose exactly what they do."""
+
+    def find_next(self, br):
+        found = self.find_close(br) or self.find_prop(br)
+        if found is not None:
+            return found
+        trans = self.find_trans(br)
+        if trans is not None:
+            return TRANS, trans
+        lbox = self.find_lbox(br)
+        return None if lbox is None else (LBOX, lbox)
 
     def find_close(self, br):
         shared = br.left & br.right

@@ -186,3 +186,11 @@ def test_deep_formula_hashes_without_recursion():
     assert f in {f}
     assert hash(f) == hash(Box(f.sub))
     assert len(subformulas(f)) == 5001
+
+
+def test_modal_depth_of_deep_box_chain():
+    f = P
+    for _ in range(5000):
+        f = Box(f)
+    assert modal_depth(f) == 5000
+    assert modal_depth(And(f, Not(Box(P)))) == 5000

@@ -4,8 +4,10 @@ Exit statuses: 0 = theorem proved (or check passed), 1 = refuted / rejected
 (countermodel or report emitted), 2 = usage or input error, 3 = resource
 budget exceeded.  Failed self-checks of either verdict and any other
 unexpected exception exit with 4; they indicate an engine bug, never bad
-input.  Input nested too deeply for the recursive parser or printer exits
-with 2.
+input.  The parser and the printer do not recurse; a limit of the
+interpreter that remains (comparing deeply nested sort keys, ``json`` on
+deeply nested documents) exits with 2.  A certificate file that cannot be
+written fails the call before its verdict is printed.
 """
 
 from __future__ import annotations
@@ -26,15 +28,19 @@ def _fail(message: str) -> int:
     return USAGE_ERROR
 
 
-def _emit(text: str, destination: str | None):
-    """Write to a file, or to stdout when the destination is '-'."""
-    if destination is None:
-        return
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w") as fh:
-            fh.write(text)
+def _report(verdict: str, *outputs: tuple[str | None, str | None]) -> None:
+    """Print the verdict line and its certificates, each ``(destination,
+    text)``; a None destination is skipped.  Files are written first, so a
+    destination that cannot be written fails the call before any verdict is
+    printed; the certificates for '-' follow the verdict on stdout."""
+    for destination, text in outputs:
+        if destination not in (None, "-"):
+            with open(destination, "w") as fh:
+                fh.write(text)
+    print(verdict)
+    for destination, text in outputs:
+        if destination == "-":
+            sys.stdout.write(text)
 
 
 class _UsageError(Exception):
@@ -64,17 +70,14 @@ def cmd_prove(args) -> int:
             text = render(d, formula) if args.emit_proof else None
         except RecursionError:  # only json.dumps recurses, once per nesting level
             return _fail("derivation too deeply nested for --format structured; use text or graph")
-        print(f"proved: {pretty(formula)}")
-        _emit(text, args.emit_proof)
+        _report(f"proved: {pretty(formula)}", (args.emit_proof, text))
         return PROVED
-    print(f"refuted: {pretty(formula)} (countermodel with "
-          f"{len(result.countermodel.frame.worlds)} worlds, false at world {result.falsified_at})")
+    m, w = result.countermodel, result.falsified_at
+    text = None
     if args.emit_countermodel:
-        m, w = result.countermodel, result.falsified_at
-        if args.format == "graph":
-            _emit(semantics.model_to_dot(m, w), args.emit_countermodel)
-        else:
-            _emit(semantics.model_to_json(m, w), args.emit_countermodel)
+        text = (semantics.model_to_dot if args.format == "graph" else semantics.model_to_json)(m, w)
+    _report(f"refuted: {pretty(formula)} (countermodel with {len(m.frame.worlds)} worlds, "
+            f"false at world {w})", (args.emit_countermodel, text))
     return REFUTED
 
 
@@ -108,8 +111,8 @@ def cmd_oracle(args) -> int:
     if isinstance(verdict, semantics.ValidUpTo):
         print(f"valid on every ITF frame with up to {verdict.bound} worlds")
         return PROVED
-    print(f"falsified at world {verdict.world}")
-    _emit(semantics.model_to_json(verdict.model, verdict.world), args.emit_countermodel or "-")
+    _report(f"falsified at world {verdict.world}",
+            (args.emit_countermodel or "-", semantics.model_to_json(verdict.model, verdict.world)))
     return REFUTED
 
 
@@ -122,12 +125,12 @@ def cmd_henkin(args) -> int:
         return PROVED
     sm, world = outcome
     index = sm.worlds.index(world)
-    print(f"refuted: standard model with {len(sm.worlds)} worlds, false at world {index}")
-    if args.emit_model:
-        _emit(semantics.model_to_json(sm.model, index), args.emit_model)
+    model = semantics.model_to_json(sm.model, index) if args.emit_model else None
+    worlds = None
     if args.emit_worlds:
-        doc = henkin.world_lists_to_dict(sm)
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.emit_worlds)
+        worlds = json.dumps(henkin.world_lists_to_dict(sm), indent=2, sort_keys=True) + "\n"
+    _report(f"refuted: standard model with {len(sm.worlds)} worlds, false at world {index}",
+            (args.emit_model, model), (args.emit_worlds, worlds))
     return REFUTED
 
 

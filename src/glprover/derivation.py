@@ -221,40 +221,56 @@ def check_derivation(d: Derivation, goal: Formula) -> bool:
 
 # --- serialization ---------------------------------------------------------------
 
-def _principal_to_list(rule: str, principal: tuple) -> list:
+class _Texts(dict):
+    """``pretty`` of each formula, printed once: one writer call keeps one,
+    since a certificate repeats its formulas at every node."""
+
+    def __missing__(self, f: Formula) -> str:
+        text = self[f] = pretty(f)
+        return text
+
+
+def _principal_to_list(rule: str, principal: tuple, texts: _Texts) -> list:
     if rule in (IRREF, TRANS):
         return list(principal)
     if rule in (LBOX, RBOXLOB):
         x, f, y = principal
-        return [x, pretty(f), y]
+        return [x, texts[f], y]
     x, f = principal
-    return [x, pretty(f)]
+    return [x, texts[f]]
+
+
+def _label(v) -> int:
+    if type(v) is not int or v < 0:
+        raise ValueError(f"label {v!r} is not a natural")
+    return v
 
 
 def _principal_from_list(rule: str, raw: list) -> tuple:
     if rule in (IRREF, TRANS):
-        return tuple(int(v) for v in raw)
+        return tuple(_label(v) for v in raw)
     if rule in (LBOX, RBOXLOB):
-        return (int(raw[0]), parse(raw[1]), int(raw[2]))
-    return (int(raw[0]), parse(raw[1]))
+        return (_label(raw[0]), parse(raw[1]), _label(raw[2]))
+    return (_label(raw[0]), parse(raw[1]))
 
 
-def _sequent_to_dict(s: SequentState) -> dict:
+def _sequent_to_dict(s: SequentState, texts: _Texts) -> dict:
     return {
         "rel": sorted([x, y] for x, y in s.rel),
-        "left": [[x, pretty(f)] for x, f in sorted(s.left, key=_lf_key)],
-        "right": [[x, pretty(f)] for x, f in sorted(s.right, key=_lf_key)],
+        "left": [[x, texts[f]] for x, f in sorted(s.left, key=_lf_key)],
+        "right": [[x, texts[f]] for x, f in sorted(s.right, key=_lf_key)],
     }
 
 
 def derivation_to_dict(d: Derivation, goal: Formula) -> dict:
     """Nested document of a derivation of ``=> 0:goal``, with replayed sequents."""
     open_nodes: list[dict] = []  # the document's nodes from the root down
+    texts = _Texts()
     for depth, node, s in _replay(d, goal):
         doc = {
             "rule": node.rule,
-            "principal": _principal_to_list(node.rule, node.principal),
-            "sequent": _sequent_to_dict(s),
+            "principal": _principal_to_list(node.rule, node.principal, texts),
+            "sequent": _sequent_to_dict(s, texts),
             "premises": [],
         }
         del open_nodes[depth:]
@@ -286,7 +302,8 @@ def derivation_from_dict(doc: dict) -> Derivation:
     try:
         goal = parse(doc["sequent"]["right"][0][1])
         d = _tree_from_dict(doc)
-        if derivation_to_dict(d, goal) != doc:
+        # compared as JSON text, where 0, 0.0 and false differ
+        if json.dumps(derivation_to_dict(d, goal), sort_keys=True) != json.dumps(doc, sort_keys=True):
             raise ValueError("the stated sequents are not the replayed ones")
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed derivation document: {exc}") from None
@@ -301,19 +318,20 @@ def derivation_from_json(text: str) -> Derivation:
     return derivation_from_dict(doc)
 
 
-def _sequent_to_text(s: SequentState) -> str:
+def _sequent_to_text(s: SequentState, texts: _Texts) -> str:
     ante = [f"{x}R{y}" for x, y in sorted(s.rel)]
-    ante += [f"{x}:{pretty(f)}" for x, f in sorted(s.left, key=_lf_key)]
-    cons = [f"{x}:{pretty(f)}" for x, f in sorted(s.right, key=_lf_key)]
+    ante += [f"{x}:{texts[f]}" for x, f in sorted(s.left, key=_lf_key)]
+    cons = [f"{x}:{texts[f]}" for x, f in sorted(s.right, key=_lf_key)]
     return ", ".join(ante) + " => " + ", ".join(cons)
 
 
 def derivation_to_text(d: Derivation, goal: Formula) -> str:
     """Human-readable indented rendering of a derivation of ``=> 0:goal``."""
     lines: list[str] = []
+    texts = _Texts()
     for depth, node, s in _replay(d, goal):
-        principal = ",".join(str(v) for v in _principal_to_list(node.rule, node.principal))
-        lines.append("  " * depth + f"{node.rule}[{principal}]  {_sequent_to_text(s)}")
+        principal = ",".join(str(v) for v in _principal_to_list(node.rule, node.principal, texts))
+        lines.append("  " * depth + f"{node.rule}[{principal}]  {_sequent_to_text(s, texts)}")
     return "\n".join(lines) + "\n"
 
 
@@ -322,11 +340,12 @@ def derivation_to_dot(d: Derivation, goal: Formula) -> str:
     application; the edge into a node follows the node's whole subtree."""
     lines = ["digraph derivation {"]
     open_ids: list[int] = []  # ids of the nodes from the root down
+    texts = _Texts()
     for nid, (depth, node, s) in enumerate(_replay(d, goal)):
         while len(open_ids) > depth:  # the subtrees ending here, deepest first
             child = open_ids.pop()
             lines.append(f"  n{open_ids[-1]} -> n{child};")
-        label = f"{node.rule}: {_sequent_to_text(s)}".replace('"', "'")
+        label = f"{node.rule}: {_sequent_to_text(s, texts)}".replace('"', "'")
         lines.append(f'  n{nid} [label="{label}"];')
         open_ids.append(nid)
     lines += [f"  n{parent} -> n{child};" for parent, child in zip(open_ids[-2::-1], open_ids[:0:-1])]

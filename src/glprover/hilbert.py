@@ -238,17 +238,17 @@ def proof_from_dict(doc: dict) -> HilbertProof:
         formula = parse(raw["formula"])
         kind = raw["kind"]
         if kind == "axiom":
-            if not isinstance(raw.get("schema"), int):
+            if type(raw.get("schema")) is not int:  # true is not schema 1
                 raise ValueError(f"step {k}: axiom step needs an integer 'schema'")
             steps.append(AxiomStep(raw["schema"], formula))
         elif kind == "mp":
             refs = raw.get("refs")
-            if not (isinstance(refs, list) and len(refs) == 2 and all(isinstance(r, int) for r in refs)):
+            if not (isinstance(refs, list) and len(refs) == 2 and all(type(r) is int for r in refs)):
                 raise ValueError(f"step {k}: mp step needs 'refs' with two indices")
             steps.append(MPStep(refs[0], refs[1], formula))
         elif kind == "nec":
             refs = raw.get("refs")
-            if not (isinstance(refs, list) and len(refs) == 1 and isinstance(refs[0], int)):
+            if not (isinstance(refs, list) and len(refs) == 1 and type(refs[0]) is int):
                 raise ValueError(f"step {k}: nec step needs 'refs' with one index")
             steps.append(NecStep(refs[0], formula))
         else:

@@ -373,6 +373,10 @@ def model_to_json(m: Model, falsified_at: int | None = None) -> str:
     return json.dumps(model_to_dict(m, falsified_at), indent=2, sort_keys=True) + "\n"
 
 
+def _natural(v) -> bool:
+    return type(v) is int and v >= 0  # not a bool, although bool subclasses int
+
+
 def model_from_dict(doc: dict) -> tuple[Model, int | None]:
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
@@ -382,19 +386,19 @@ def model_from_dict(doc: dict) -> tuple[Model, int | None]:
         val = doc.get("val", {})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model document is missing field {exc}") from None
-    if not isinstance(worlds, list) or not all(isinstance(w, int) and w >= 0 for w in worlds):
+    if not isinstance(worlds, list) or not all(_natural(w) for w in worlds):
         raise ValueError("'worlds' must be an array of naturals")
     if not isinstance(rel, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(c, int) for c in p) for p in rel
+        isinstance(p, list) and len(p) == 2 and all(_natural(c) for c in p) for p in rel
     ):
         raise ValueError("'rel' must be an array of 2-arrays")
     if not isinstance(val, dict) or not all(
-        isinstance(a, str) and isinstance(ws, list) and all(isinstance(w, int) for w in ws)
+        isinstance(a, str) and isinstance(ws, list) and all(_natural(w) for w in ws)
         for a, ws in val.items()
     ):
         raise ValueError("'val' must map atom names to arrays of worlds")
     falsified_at = doc.get("falsifiedAt")
-    if falsified_at is not None and not isinstance(falsified_at, int):
+    if falsified_at is not None and not _natural(falsified_at):
         raise ValueError("'falsifiedAt' must be a natural")
     model = make_model(worlds, ((x, y) for x, y in rel), {a: ws for a, ws in val.items()})
     return model, falsified_at

@@ -4,7 +4,8 @@ The object language has falsity and truth constants, named atoms, negation,
 conjunction, disjunction, implication, biconditional and the box modality.
 ``Diam`` is not a constructor: ``Diam A`` is sugar for ``Not (Box (Not A))``
 and is desugared by the parser (and resugared by the printer when that exact
-shape occurs).
+shape occurs).  The parser and the printer read one table of the binary
+connectives' precedence and walk with explicit stacks, so they take any depth.
 
 Formulas are hash-consed (Filliatre & Conchon, *Type-safe modular
 hash-consing*, 2006): a constructor returns the one live node with its
@@ -245,135 +246,105 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return self.advance()
-
-    def parse_iff(self) -> Formula:
-        left = self.parse_imp()
-        if self.peek()[0] == "iff":
-            self.advance()
-            right = self.parse_imp()
-            tok = self.peek()
-            if tok[0] == "iff":
-                raise ParseError("'<->' is non-associative, use parentheses", tok[2])
-            return Iff(left, right)
-        return left
-
-    def parse_imp(self) -> Formula:
-        left = self.parse_or()
-        if self.peek()[0] == "imp":
-            self.advance()
-            return Imp(left, self.parse_imp())
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        if self.peek()[0] == "or":
-            self.advance()
-            return Or(left, self.parse_or())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_prefix()
-        if self.peek()[0] == "and":
-            self.advance()
-            return And(left, self.parse_and())
-        return left
-
-    def parse_prefix(self) -> Formula:
-        kind, _, _ = self.peek()
-        if kind == "Not":
-            self.advance()
-            return Not(self.parse_prefix())
-        if kind == "Box":
-            self.advance()
-            return Box(self.parse_prefix())
-        if kind == "Diam":
-            self.advance()
-            return Diam(self.parse_prefix())
-        return self.parse_primary()
-
-    def parse_primary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "False":
-            self.advance()
-            return FALSE
-        if kind == "True":
-            self.advance()
-            return TRUE
-        if kind == "ident":
-            self.advance()
-            return Atom(value)
-        if kind == "lparen":
-            self.advance()
-            inner = self.parse_iff()
-            self.expect("rparen")
-            return inner
-        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+# The binary connectives, read by both ``parse`` and ``pretty``: token kind,
+# symbol, constructor, own level, and the least level of the left and of the
+# right operand written without parentheses.  Prefix operators are at level 5
+# and leaves at 6, so neither is ever parenthesized.
+_BINARY = (
+    ("iff", "<->", Iff, 1, 2, 2),
+    ("imp", "-->", Imp, 2, 3, 2),
+    ("or", "||", Or, 3, 4, 3),
+    ("and", "&&", And, 4, 5, 4),
+)
+_PREFIX_LEVEL = 5
+_PREFIX = {"Not": Not, "Box": Box, "Diam": Diam}
+_CONSTANTS = {"False": FALSE, "True": TRUE}
+_BY_KIND = {row[0]: row for row in _BINARY}
+_INFIX = {ctor: (level, left, f" {symbol} ", right) for _, symbol, ctor, level, left, right in _BINARY}
+_OPEN = (0, 0, None, 0)  # a "(" on the pending stack; nothing reduces past it
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula.  Raises ParseError with the
-    offending position on malformed input."""
-    parser = _Parser(text)
-    f = parser.parse_iff()
-    kind, value, pos = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected trailing token {value!r}", pos)
-    return f
+    offending position on malformed input.
 
-
-# Own precedence level of each shape; a child is parenthesized when its level
-# is below the level its position requires.
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_PREFIX, _LEVEL_ATOM = 1, 2, 3, 4, 5, 6
-
-
-def _render(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Falsum):
-        return "False", _LEVEL_ATOM
-    if isinstance(f, Verum):
-        return "True", _LEVEL_ATOM
-    if isinstance(f, Atom):
-        return f.name, _LEVEL_ATOM
-    if isinstance(f, Not):
-        if isinstance(f.sub, Box) and isinstance(f.sub.sub, Not):
-            return "Diam " + _child(f.sub.sub.sub, _LEVEL_PREFIX), _LEVEL_PREFIX
-        return "Not " + _child(f.sub, _LEVEL_PREFIX), _LEVEL_PREFIX
-    if isinstance(f, Box):
-        return "Box " + _child(f.sub, _LEVEL_PREFIX), _LEVEL_PREFIX
-    if isinstance(f, And):
-        return _child(f.left, _LEVEL_PREFIX) + " && " + _child(f.right, _LEVEL_AND), _LEVEL_AND
-    if isinstance(f, Or):
-        return _child(f.left, _LEVEL_AND) + " || " + _child(f.right, _LEVEL_OR), _LEVEL_OR
-    if isinstance(f, Imp):
-        return _child(f.left, _LEVEL_OR) + " --> " + _child(f.right, _LEVEL_IMP), _LEVEL_IMP
-    if isinstance(f, Iff):
-        return _child(f.left, _LEVEL_IMP) + " <-> " + _child(f.right, _LEVEL_IMP), _LEVEL_IFF
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _child(f: Formula, min_level: int) -> str:
-    text, level = _render(f)
-    return f"({text})" if level < min_level else text
+    An operator-precedence loop with two states, expecting an operand or a
+    connective.  Operands wait on one stack; operators wait on another as
+    ``(level, least level of the right operand, constructor, arity)``,
+    together with the open parentheses, so no nesting is too deep."""
+    operands: list[Formula] = []
+    pending: list[tuple] = [_OPEN]  # the whole input is one parenthesized group
+    depth = 0  # parentheses open
+    tokens = iter(_tokenize(text))
+    for kind, value, pos in tokens:  # expect an operand
+        if kind in _PREFIX:
+            pending.append((_PREFIX_LEVEL, _PREFIX_LEVEL, _PREFIX[kind], 1))
+            continue
+        if kind == "lparen":
+            pending.append(_OPEN)
+            depth += 1
+            continue
+        if kind == "ident":
+            operands.append(Atom(value))
+        elif kind in _CONSTANTS:
+            operands.append(_CONSTANTS[kind])
+        else:
+            raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+        for kind, value, pos in tokens:  # expect a connective, a ")" or the end
+            row = _BY_KIND.get(kind)
+            if row is None and kind != ("rparen" if depth else "eof"):
+                raise ParseError(f"expected 'rparen', found {value or 'end of input'!r}" if depth
+                                 else f"unexpected trailing token {value!r}", pos)
+            min_level = 1 if row is None else row[4]
+            while pending[-1][0] >= min_level:  # apply the operators that bind tighter
+                _, _, ctor, arity = pending.pop()
+                if arity == 2:
+                    right = operands.pop()
+                    operands[-1] = ctor(operands[-1], right)
+                else:
+                    operands[-1] = ctor(operands[-1])
+            if row is not None:
+                break
+            if kind == "eof":
+                return operands[0]
+            pending.pop()
+            depth -= 1
+        _, symbol, ctor, level, _, right_min = row
+        if level < pending[-1][1]:
+            raise ParseError(f"{symbol!r} is non-associative, use parentheses", pos)
+        pending.append((level, right_min, ctor, 2))
 
 
 def pretty(f: Formula) -> str:
     """Canonical concrete syntax for ``f``; minimally parenthesized, and
-    ``parse(pretty(f))`` is structurally equal to ``f``."""
-    return _render(f)[0]
+    ``parse(pretty(f))`` is structurally equal to ``f``.  The text is written
+    left to right from an explicit stack of pieces, literals and
+    ``(formula, least level of its position)``, so no nesting is too deep."""
+    out: list[str] = []
+    stack: list = [(f, 0)]  # the next piece last
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        g, min_level = piece
+        cls = type(g)
+        if cls in _INFIX:
+            level, left, symbol, right = _INFIX[cls]
+            if level < min_level:
+                out.append("(")
+                stack.append(")")
+            stack += ((g.right, right), symbol, (g.left, left))
+        elif cls is Not and type(g.sub) is Box and type(g.sub.sub) is Not:
+            out.append("Diam ")
+            stack.append((g.sub.sub.sub, _PREFIX_LEVEL))
+        elif cls is Not or cls is Box:
+            out.append("Not " if cls is Not else "Box ")
+            stack.append((g.sub, _PREFIX_LEVEL))
+        elif cls is Atom:
+            out.append(g.name)
+        elif cls is Falsum or cls is Verum:
+            out.append("False" if cls is Falsum else "True")
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)

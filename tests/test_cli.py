@@ -1,17 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glprover import cli, sequent
 from glprover.cli import main
 from glprover.hilbert import proof_to_json, verum_proof
 from glprover.semantics import holds, is_itf, model_from_json, model_to_json
 from glprover.sequent import check_derivation, derivation_from_json
-from glprover.syntax import Atom, Not, Or, parse, pretty, subformulas
+from glprover.syntax import FALSE, TRUE, And, Atom, Box, Formula, Iff, Imp, Not, Or, parse, pretty, subformulas
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROOF_DIR = ROOT / "proofs"
@@ -70,7 +75,10 @@ def test_prove_structured_too_deep_exit_2_without_verdict(monkeypatch, tmp_path,
 
 
 def test_prove_deep_nesting_exit_2(capsys):
-    assert main(["prove", "(" * 200 + "p" + ")" * 200]) == 2
+    assert main(["prove", "(" * 200 + "p" + ")" * 200]) == 1
+    assert capsys.readouterr().out.startswith("refuted: p ")
+    # the parser no longer recurses, but comparing the agenda's sort keys does
+    assert main(["prove", "Not " * 3000 + "p"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nested too deeply" in err
     assert len(err.splitlines()) == 1
@@ -80,12 +88,31 @@ def test_prove_deep_nesting_exit_2(capsys):
     ["prove", GL_AXIOM, "--emit-proof"],
     ["prove", REFLECTION, "--emit-countermodel"],
     ["henkin", "Box False", "--emit-model"],
+    ["henkin", "Box False", "--emit-model", "-", "--emit-worlds"],
+    ["oracle", "Box False", "--max-worlds", "2", "--emit-countermodel"],
 ])
 def test_unwritable_emit_path_exit_2(argv, tmp_path, capsys):
     assert main(argv + [str(tmp_path / "missing" / "out")]) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no verdict for a call that fails
+    err = captured.err
     assert err.startswith("error:") and "No such file or directory" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured", "graph"])
+def test_prove_deep_formula_with_short_proof(fmt, tmp_path, capsys):
+    chain = "Box " * 600 + "p"
+    out = tmp_path / "proof"
+    assert main(["prove", f"{chain} --> {chain}", "--emit-proof", str(out), "--format", fmt]) == 0
+    assert capsys.readouterr().out == f"proved: {chain} --> {chain}\n"
+    assert chain in out.read_text()
+
+
+def test_emit_to_stdout_follows_the_verdict(capsys):
+    assert main(["oracle", "Box False", "--max-worlds", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("falsified at world 0\n{")
 
 
 def test_prove_many_sequential_splits_refuted(capsys):
@@ -305,3 +332,43 @@ def test_emitted_files_are_canonical(tmp_path):
 def test_usage_error_exit_2():
     assert main(["prove", "p", "--format", "yaml"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+P, Q = Atom("p"), Atom("q")
+
+
+def _random_formula(rng, size):
+    """A formula of ``size`` random constructors, read as a postfix program:
+    a leaf pushes an atom or a constant, a connective takes its operands from
+    the stack (a leaf when it is short), and what remains is joined by
+    conjunction."""
+    stack = []
+    for op in rng.choices([P, Q, TRUE, FALSE, Not, Box, And, Or, Imp, Iff], k=size):
+        if isinstance(op, Formula):
+            stack.append(op)
+        elif op in (Not, Box):
+            stack.append(op(stack.pop() if stack else P))
+        else:
+            right = stack.pop() if stack else P
+            stack.append(op(stack.pop() if stack else Q, right))
+    f = stack.pop() if stack else P
+    while stack:
+        f = And(stack.pop(), f)
+    return f
+
+
+_EDITS = st.sampled_from(["(", ")", " ", "&&", "||", "-->", "<->", "Not ", "Box ", "Diam ", "p", "-", "!"])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(size=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1),
+       edits=st.lists(st.tuples(st.floats(0, 1), _EDITS), max_size=3))
+def test_prove_exits_with_a_contract_code(size, seed, edits):
+    # printed formulas of up to 10^3 constructors, some with the text mutated
+    text = pretty(_random_formula(random.Random(seed), size))
+    for at, piece in edits:
+        k = int(at * len(text))
+        text = text[:k] + piece + text[k:]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["prove", text, "--max-steps", "2000"])
+    assert code in (0, 1, 2, 3)

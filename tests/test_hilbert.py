@@ -1,3 +1,4 @@
+import json
 import pathlib
 import random
 
@@ -129,6 +130,18 @@ def test_proof_json_malformed():
                 '{"steps": [{"kind": "what", "formula": "p"}]}'):
         with pytest.raises(ValueError):
             proof_from_json(bad)
+
+
+def test_proof_json_requires_integers():
+    doc = json.loads(proof_to_json(verum_proof()))
+    assert doc["steps"][0]["kind"] == "axiom" and doc["steps"][2]["kind"] == "mp"
+    for step, key, value in ((0, "schema", True), (0, "schema", 1.0), (2, "refs", [True, 0]),
+                             (2, "refs", [1, 0.0])):
+        bad = json.loads(json.dumps(doc))
+        bad["steps"][step][key] = value
+        with pytest.raises(ValueError):
+            proof_from_json(json.dumps(bad))
+    assert proof_from_json(json.dumps(doc)) == verum_proof()
 
 
 def test_shipped_proof_files():

@@ -262,6 +262,19 @@ def test_model_json_malformed():
             model_from_json(bad)
 
 
+def test_model_json_requires_naturals():
+    # a boolean is not a world, although Python's bool is an int
+    for bad in ('{"worlds": [true], "rel": [], "val": {"p": [true]}}',
+                '{"worlds": [0, 1], "rel": [[0, true]], "val": {}}',
+                '{"worlds": [0, 1], "rel": [], "val": {"p": [false]}}',
+                '{"worlds": [0.0], "rel": [], "val": {}}',
+                '{"worlds": [0], "rel": [], "val": {}, "falsifiedAt": -3}',
+                '{"worlds": [0], "rel": [], "val": {}, "falsifiedAt": false}'):
+        with pytest.raises(ValueError):
+            model_from_json(bad)
+    assert model_from_json('{"worlds": [1], "rel": [], "val": {"p": [1]}, "falsifiedAt": 1}')[1] == 1
+
+
 def test_enumeration_counts():
     assert sum(1 for _ in enumerate_frames(3)) == 512
     # strict partial orders on 3 labelled points

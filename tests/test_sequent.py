@@ -224,6 +224,22 @@ def test_loader_checks_every_stated_sequent():
     assert not _accepted(weakened, f)
 
 
+def test_loader_requires_natural_labels():
+    f = parse("Box (Box p --> p) --> Box p")
+    doc = json.loads(derivation_to_json(search(f).derivation, f))
+    assert doc["principal"][0] == 0 and doc["premises"][0]["sequent"]["rel"] == []
+    for label in (0.0, False, -1):
+        bad = copy.deepcopy(doc)
+        bad["principal"][0] = label
+        assert not _accepted(bad, f)
+    rboxlob = doc["premises"][0]
+    assert rboxlob["rule"] == "RBoxLob" and rboxlob["premises"][0]["sequent"]["rel"] == [[0, 1]]
+    for rel in ([[0, 1.0]], [[False, 1]], [[0, True]]):  # equal to [[0, 1]] under ==
+        bad = copy.deepcopy(doc)
+        bad["premises"][0]["premises"][0]["sequent"]["rel"] = rel
+        assert not _accepted(bad, f)
+
+
 def test_derivation_json_malformed():
     with pytest.raises(ValueError):
         derivation_from_json("{")

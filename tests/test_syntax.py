@@ -16,6 +16,134 @@ from glprover.syntax import (
 P, Q = Atom("p"), Atom("q")
 
 
+# --- the recursive-descent parser and printer, kept as an independent reference
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        self.tokens = syntax._tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        return self.advance()
+
+    def parse_iff(self):
+        left = self.parse_imp()
+        if self.peek()[0] == "iff":
+            self.advance()
+            right = self.parse_imp()
+            tok = self.peek()
+            if tok[0] == "iff":
+                raise ParseError("'<->' is non-associative, use parentheses", tok[2])
+            return Iff(left, right)
+        return left
+
+    def parse_imp(self):
+        left = self.parse_or()
+        if self.peek()[0] == "imp":
+            self.advance()
+            return Imp(left, self.parse_imp())
+        return left
+
+    def parse_or(self):
+        left = self.parse_and()
+        if self.peek()[0] == "or":
+            self.advance()
+            return Or(left, self.parse_or())
+        return left
+
+    def parse_and(self):
+        left = self.parse_prefix()
+        if self.peek()[0] == "and":
+            self.advance()
+            return And(left, self.parse_and())
+        return left
+
+    def parse_prefix(self):
+        kind = self.peek()[0]
+        if kind in ("Not", "Box", "Diam"):
+            self.advance()
+            return {"Not": Not, "Box": Box, "Diam": Diam}[kind](self.parse_prefix())
+        return self.parse_primary()
+
+    def parse_primary(self):
+        kind, value, pos = self.peek()
+        if kind in ("False", "True", "ident"):
+            self.advance()
+            return {"False": FALSE, "True": TRUE}.get(kind) or Atom(value)
+        if kind == "lparen":
+            self.advance()
+            inner = self.parse_iff()
+            self.expect("rparen")
+            return inner
+        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+
+
+def reference_parse(text):
+    parser = _ReferenceParser(text)
+    f = parser.parse_iff()
+    kind, value, pos = parser.peek()
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing token {value!r}", pos)
+    return f
+
+
+def _reference_render(f):
+    # (text, level): iff 1, imp 2, or 3, and 4, prefix 5, leaf 6
+    if f is FALSE or f is TRUE:
+        return ("False" if f is FALSE else "True"), 6
+    if isinstance(f, Atom):
+        return f.name, 6
+    if isinstance(f, Not) and isinstance(f.sub, Box) and isinstance(f.sub.sub, Not):
+        return "Diam " + _reference_child(f.sub.sub.sub, 5), 5
+    if isinstance(f, (Not, Box)):
+        return type(f).__name__ + " " + _reference_child(f.sub, 5), 5
+    if isinstance(f, And):
+        return _reference_child(f.left, 5) + " && " + _reference_child(f.right, 4), 4
+    if isinstance(f, Or):
+        return _reference_child(f.left, 4) + " || " + _reference_child(f.right, 3), 3
+    if isinstance(f, Imp):
+        return _reference_child(f.left, 3) + " --> " + _reference_child(f.right, 2), 2
+    return _reference_child(f.left, 2) + " <-> " + _reference_child(f.right, 2), 1
+
+
+def _reference_child(f, min_level):
+    text, level = _reference_render(f)
+    return f"({text})" if level < min_level else text
+
+
+def reference_pretty(f):
+    return _reference_render(f)[0]
+
+
+def parse_outcome(parse_fn, text):
+    """The formula, or the ParseError's text and position."""
+    try:
+        return parse_fn(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+_TOKENS = ("(", ")", "(", ")", "&&", "||", "-->", "<->", "Not", "Box", "Diam",
+           "True", "False", "p", "q", "p", "q", "-", "->", "x1'")
+
+
+def random_token_string(rng):
+    tokens = rng.choices(_TOKENS, k=rng.randint(0, 12))
+    return "".join(tok + rng.choice((" ", " ", "", "  ")) for tok in tokens)
+
+
 def node_count(f):
     # independent size oracle for the subformula bound
     if isinstance(f, (Not, Box)):
@@ -81,6 +209,70 @@ def test_roundtrip_random():
     for _ in range(1000):
         f = random_formula(rng)
         assert parse(pretty(f)) == f
+
+
+def test_parse_agrees_with_reference_on_random_token_strings():
+    rng = random.Random(23)
+    parsed = 0
+    for _ in range(20000):
+        text = random_token_string(rng)
+        outcome = parse_outcome(parse, text)
+        assert outcome == parse_outcome(reference_parse, text), text
+        parsed += not isinstance(outcome, tuple)
+    assert parsed > 500  # well-formed strings are among them
+
+
+def test_parse_agrees_with_reference_on_mutated_formulas():
+    rng = random.Random(29)
+    for _ in range(3000):
+        tokens = [value for _, value, _ in syntax._tokenize(pretty(random_formula(rng)))[:-1]]
+        k = rng.randint(0, len(tokens))
+        tokens[k:k + rng.randint(0, 1)] = rng.choices(_TOKENS, k=rng.randint(0, 1))
+        text = " ".join(tokens)
+        assert parse_outcome(parse, text) == parse_outcome(reference_parse, text), text
+
+
+def test_parse_error_messages_and_positions():
+    cases = {
+        "p <-> q <-> r": "'<->' is non-associative, use parentheses at position 8",
+        "p <-> q --> r <-> s": "'<->' is non-associative, use parentheses at position 14",
+        "(p && q": "expected 'rparen', found 'end of input' at position 7",
+        "(p q)": "expected 'rparen', found 'q' at position 3",
+        "p q": "unexpected trailing token 'q' at position 2",
+        "p && q)": "unexpected trailing token ')' at position 6",
+        "Not": "expected a formula, found 'end of input' at position 3",
+        "p && )": "expected a formula, found ')' at position 5",
+        "": "expected a formula, found 'end of input' at position 0",
+    }
+    for text, message in cases.items():
+        assert str(parse_outcome(parse, text)[0]) == message
+        assert parse_outcome(reference_parse, text)[0] == message
+
+
+def test_pretty_agrees_with_reference():
+    rng = random.Random(31)
+    for _ in range(3000):
+        f = random_formula(rng, max_connectives=rng.randint(0, 25))
+        assert pretty(f) == reference_pretty(f)
+    with pytest.raises(TypeError):
+        pretty("p")
+
+
+def test_deep_nesting_parses_and_prints():
+    n = 10_000
+    assert parse("(" * n + "p" + ")" * n) is P
+    assert parse("(" * n + "p && q" + ")" * n + " --> p") is Imp(And(P, Q), P)
+    rng = random.Random(37)
+    f = Q
+    for ctor in rng.choices((Not, Box), k=n):
+        f = ctor(f)
+    text = pretty(f)
+    assert parse(text) is f
+    assert text.count("Diam ") > 500  # Not Box Not is printed as Diam
+    right = P
+    for _ in range(n):
+        right = Imp(Q, Not(right))
+    assert parse(pretty(right)) is right
 
 
 def test_subformulas_examples():

@@ -13,9 +13,17 @@ A branch is its sequent plus one agenda: a heap of the instances of every
 rule but the Loeb right-box rule, ranked by the fixed order and pushed as
 formulas and relational atoms arrive, so selecting the next rule never
 scans the whole sequent or relation.  The rule sequence is the one the fixed
-ordering defines; the agenda only finds it faster.  The search is one loop:
-the premises of a split wait on an explicit stack, so the number of splits
-on a branch is not bounded by the interpreter's recursion limit.
+ordering defines, except that a split is dropped when one of its premises
+closes without taking as principal any formula that premise added: that
+subtree then replaces the split, and the other premises are never searched.
+A rule tree needs of its root sequent only the formulas it takes as
+principal, since a rule only asks that its principal be present and fresh
+labels come from one counter.  The split's conclusion holds every formula of
+the premise but those the split added, so the subtree derives it as well
+(weakening), and the verdict is the one full splitting would reach.  The
+search is one loop: the premises of a split wait on an explicit stack, so
+the number of splits on a branch is not bounded by the interpreter's
+recursion limit.
 
 The search returns a rule tree; the derivation module checks and writes it,
 independently of the search, and its functions are re-exported here.
@@ -55,18 +63,23 @@ class Refuted:
 SearchResult = Proved | Refuted
 
 
+def _sided_components(on_left: bool, f: Formula) -> tuple[tuple[bool, Formula], ...]:
+    c1, c2 = _components(f)
+    return (on_left, c1), (on_left, c2)
+
+
 # The propositional rules in selection order: whether the principal is on
-# the left, the shapes it has, and per premise the components it adds to the
-# left and to the right.
+# the left, the shapes it has, and per premise the components it adds, as
+# ``(on_left, component)``.
 _PROP_RULES = {
-    LAND: (True, (And, Iff), lambda f: [(_components(f), ())]),
-    ROR: (False, (Or,), lambda f: [((), (f.left, f.right))]),
-    LNOT: (True, (Not,), lambda f: [((), (f.sub,))]),
-    RNOT: (False, (Not,), lambda f: [((f.sub,), ())]),
-    RIMP: (False, (Imp,), lambda f: [((f.left,), (f.right,))]),
-    RAND: (False, (And, Iff), lambda f: [((), (c,)) for c in _components(f)]),
-    LOR: (True, (Or,), lambda f: [((f.left,), ()), ((f.right,), ())]),
-    LIMP: (True, (Imp,), lambda f: [((), (f.left,)), ((f.right,), ())]),
+    LAND: (True, (And, Iff), lambda f: [_sided_components(True, f)]),
+    ROR: (False, (Or,), lambda f: [((False, f.left), (False, f.right))]),
+    LNOT: (True, (Not,), lambda f: [((False, f.sub),)]),
+    RNOT: (False, (Not,), lambda f: [((True, f.sub),)]),
+    RIMP: (False, (Imp,), lambda f: [((True, f.left), (False, f.right))]),
+    RAND: (False, (And, Iff), lambda f: [(c,) for c in _sided_components(False, f)]),
+    LOR: (True, (Or,), lambda f: [((True, f.left),), ((True, f.right),)]),
+    LIMP: (True, (Imp,), lambda f: [((False, f.left),), ((True, f.right),)]),
 }
 # The propositional rule whose principal is a formula of this type on this side.
 _PROP_RULE_OF = {(on_left, kind): rule for rule, (on_left, kinds, _) in _PROP_RULES.items()
@@ -74,6 +87,10 @@ _PROP_RULE_OF = {(on_left, kind): rule for rule, (on_left, kinds, _) in _PROP_RU
 # The fixed order of the rules an agenda holds: a branch applies the least
 # live instance, and the Loeb right-box rule only when none is left.
 _RANK = {rule: rank for rank, rule in enumerate((INIT, LBOT, IRREF, RTOP, *_PROP_RULES, TRANS, LBOX))}
+# The side of the one labelled formula x:A that a rule instance takes as
+# principal; Init takes x:A on both sides, Irref and Trans relational atoms only.
+_PRINCIPAL_SIDE = ({rule: on_left for rule, (on_left, _, _) in _PROP_RULES.items()}
+                   | {LBOT: True, LBOX: True, RTOP: False, RBOXLOB: False})
 
 
 class _Branch:
@@ -216,28 +233,44 @@ class _Searcher:
 
     # -- rule application --
 
-    def apply_prop(self, br: _Branch, rule: str, principal: LabelledFormula) -> list[_Branch]:
+    def apply_prop(self, br: _Branch, rule: str, principal: LabelledFormula
+                   ) -> tuple[list[_Branch], list[set] | None]:
         """The premises of a propositional rule instance; the last one is
-        ``br`` itself, which the caller never reads again."""
+        ``br`` itself, which the caller never reads again.  At a split, also
+        the items each premise added, as ``(on_left, x:A)``: a component
+        already in the sequent adds nothing."""
         on_left, _, decompose = _PROP_RULES[rule]
         x, f = principal
         parts = decompose(f)
         (br.left if on_left else br.right).discard(principal)
+        added = None
+        if len(parts) > 1:  # read before any premise adds its components
+            added = [{(side, (x, g)) for side, g in part if (x, g) not in (br.left if side else br.right)}
+                     for part in parts]
         premises = [br.copy() for _ in parts[1:]] + [br]
-        for premise, (lefts, rights) in zip(premises, parts):
-            for g in lefts:
-                premise.add(True, (x, g))
-            for g in rights:
-                premise.add(False, (x, g))
-        return premises
+        for premise, part in zip(premises, parts):
+            for side, g in part:
+                premise.add(side, (x, g))
+        return premises, added
 
     # -- the search loop --
 
     def expand(self, br: _Branch):
         """The derivation of ``br``'s sequent, or the first saturated open
         branch.  The premises of a split wait on an explicit stack, so no
-        number of splits is too deep."""
-        # open splits: (rule, principal, segments above, finished subtrees, premises left)
+        number of splits is too deep.
+
+        A closed subtree comes with the labelled formulas it takes as
+        principal, as ``(on_left, x:A)``; relational atoms are left out,
+        since no split adds one.  A split's premise whose subtree uses none
+        of the items the premise added replaces the whole split, by
+        weakening: its other premises are never searched.  Otherwise the
+        split uses its principal and what each premise's subtree uses, less
+        what that premise added.  A one-premise step needs no such
+        subtraction: an item leaves a sequent only as the principal of a
+        rule, which has put it in the used set already."""
+        # open splits: (rule, principal, segments above, finished subtrees,
+        # their uses, premises left, items each premise added)
         splits: list[tuple] = []
         segments: list[tuple[str, tuple]] = []  # one-premise steps since the last split
         while True:
@@ -267,24 +300,38 @@ class _Searcher:
                 br.add(True, (y, f.sub))
                 br.bookkeeping.add((LBOX, x, f, y))
             elif rule in _PROP_RULES:
-                premises = self.apply_prop(br, rule, principal)
-                if len(premises) > 1:
-                    splits.append((rule, principal, segments, [], premises))
+                premises, added = self.apply_prop(br, rule, principal)
+                if added is not None:
+                    splits.append((rule, principal, segments, [], [], premises, added))
                     br, segments = premises.pop(0), []
                     continue
             else:  # a closed leaf: finish every split whose premises are all closed
                 node = Derivation(rule, principal)
+                used = {(True, principal), (False, principal)} if rule == INIT else set()
+                if rule in _PRINCIPAL_SIDE:
+                    used.add((_PRINCIPAL_SIDE[rule], principal))
                 while True:
-                    for step in reversed(segments):
-                        node = Derivation(*step, (node,))
+                    for rule, principal in reversed(segments):
+                        node = Derivation(rule, principal, (node,))
+                        if rule in _PRINCIPAL_SIDE:  # an LBox or RBoxLob principal starts with x:A
+                            used.add((_PRINCIPAL_SIDE[rule], principal[:2]))
                     if not splits:
                         return node
-                    rule, principal, segments, subtrees, premises = splits[-1]
+                    rule, principal, segments, subtrees, uses, premises, added = splits[-1]
+                    new = added[len(subtrees)]
+                    if used.isdisjoint(new):  # node derives the split's conclusion
+                        splits.pop()
+                        continue
                     subtrees.append(node)
+                    used.difference_update(new)
+                    uses.append(used)
                     if premises:
                         break
                     splits.pop()
                     node = Derivation(rule, principal, tuple(subtrees))
+                    smaller, used = sorted(uses, key=len)  # two premises; merged in place
+                    used |= smaller
+                    used.add((_PRINCIPAL_SIDE[rule], principal))
                 # popped, so that a finished premise is freed
                 br, segments = premises.pop(0), []
                 continue

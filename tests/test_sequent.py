@@ -1,11 +1,14 @@
 import copy
 import json
+import random
 import sys
 
 import pytest
 
+from conftest import random_formula
+from glprover.derivation import _replay
 from glprover.errors import BudgetExceededError
-from glprover.semantics import Falsified, holds, is_itf, oracle_valid
+from glprover.semantics import Falsified, ValidUpTo, holds, is_itf, oracle_valid
 from glprover.sequent import (
     Derivation, INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR,
     Proved, RAND, RBOXLOB, RIMP, RNOT, ROR, RTOP, Refuted, TRANS, TWO_PREMISE_RULES,
@@ -281,6 +284,97 @@ def test_lob_conj10_derivation_size_is_pinned():
         nodes += 1
         stack.extend(node.premises)
     assert nodes == 105
+
+
+def _preorder(d: Derivation) -> list[Derivation]:
+    nodes, stack = [], [d]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(node.premises))
+    return nodes
+
+
+def test_split_whose_first_premise_closes_without_it_is_dropped():
+    # Loeb's axiom closes the first premise of LOr without 0:p, so that
+    # subtree replaces the split (13 nodes with both premises)
+    f = parse("(p || q) --> (Box (Box r --> r) --> Box r)")
+    result = search(f)
+    assert isinstance(result, Proved) and check_derivation(result.derivation, f)
+    rules = [node.rule for node in _preorder(result.derivation)]
+    assert len(rules) == 7 and LOR not in rules
+
+
+def test_split_whose_second_premise_closes_without_it_is_dropped():
+    # the first premise of LImp on 0:p --> q closes by Init on the 0:p it
+    # added; the second closes by Loeb's axiom without 0:q and replaces the split
+    f = parse("p --> ((p --> q) --> (Box (Box r --> r) --> Box r))")
+    result = search(f)
+    assert isinstance(result, Proved) and check_derivation(result.derivation, f)
+    assert not [node for node in _preorder(result.derivation) if node.rule == LIMP and node.principal[0] == 0]
+
+
+def test_needed_split_keeps_both_premises():
+    f = parse("(Box p || Box q) --> Box (p || q)")
+    result = search(f)
+    assert isinstance(result, Proved) and check_derivation(result.derivation, f)
+    (split,) = [node for node in _preorder(result.derivation) if node.rule == LOR]
+    assert len(split.premises) == 2
+
+
+def test_tier_formula_step_count_is_pinned():
+    # refuted once its unneeded splits are dropped; exhaustive splitting
+    # took 53,414 steps
+    f = parse("Box Box ((Box Box (True --> True) || Box (Not r && r)) <-> "
+              "Box Not (Box (False <-> (r && q)) <-> Box (True && (p --> r))))")
+    result = search(f, max_steps=1273)
+    assert isinstance(result, Refuted) and len(result.countermodel.frame.worlds) == 4
+    with pytest.raises(BudgetExceededError):
+        search(f, max_steps=1272)
+
+
+def _takes_as_principal(node: Derivation) -> set:
+    """The labelled formulas a node's rule instance needs, as (on_left, x:A);
+    Irref and Trans need only relational atoms, which no split adds."""
+    rule, principal = node.rule, node.principal
+    if rule == INIT:
+        return {(True, principal), (False, principal)}
+    if rule in (LBOT, LAND, LOR, LNOT, LIMP):
+        return {(True, principal)}
+    if rule in (RTOP, RAND, ROR, RNOT, RIMP):
+        return {(False, principal)}
+    if rule == LBOX:
+        return {(True, principal[:2])}
+    if rule == RBOXLOB:
+        return {(False, principal[:2])}
+    return set()
+
+
+def test_every_split_left_in_a_proof_is_needed():
+    rng = random.Random(1)
+    proofs = splits = 0
+    for _ in range(200):
+        f = random_formula(rng, 20, max_modal_depth=4)
+        result = search(f, max_steps=6000)
+        if not isinstance(result, Proved):
+            continue
+        proofs += 1
+        assert check_derivation(result.derivation, f), pretty(f)
+        assert oracle_valid(f, 3) == ValidUpTo(3), pretty(f)
+        nodes = list(_replay(result.derivation, f))
+        for i, (depth, node, s) in enumerate(nodes):
+            if len(node.premises) != 2:
+                continue
+            splits += 1
+            end = next((j for j in range(i + 1, len(nodes)) if nodes[j][0] <= depth), len(nodes))
+            starts = [j for j in range(i + 1, end) if nodes[j][0] == depth + 1] + [end]
+            for start, stop in zip(starts, starts[1:]):
+                premise = nodes[start][2]
+                added = {(True, item) for item in premise.left - s.left}
+                added |= {(False, item) for item in premise.right - s.right}
+                used = set().union(*(_takes_as_principal(n) for _, n, _ in nodes[start:stop]))
+                assert added & used, f"{pretty(f)}: unneeded {node.rule} at node {i}"
+    assert proofs >= 20 and splits >= 10
 
 
 def _lf_key(item):

@@ -7,6 +7,14 @@ rebuilds each node's sequent through the rule schemas; the checker, the
 loader and the three serializers (structured JSON, indented text, DOT graph)
 all read the tree by it.  Nothing here depends on how a derivation was
 found.
+
+The checker states the eleven rules whose principal is one labelled formula
+x:A (Init, LBot, RTop and the eight propositional rules) as one table, a row
+per rule: the sides x:A must stand on, the connectives A may have, the error
+reported otherwise, and the formulas each premise adds at x on the left and
+on the right.  Irref, Trans, LBox and RBoxLob, whose principals carry more
+labels, are written out.  The search keeps its own table of the propositional
+rules, so a slip in either one shows as a proof the checker rejects.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .syntax import And, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, parse, pretty, sort_key
+from .syntax import And, Box, Falsum, Formula, Iff, Imp, Not, Or, ParseError, Verum, parse, pretty, sort_key
 
 # Rule identifiers.  Leaves: Init, LBot, Irref, plus RTop (a sequent with x:True
 # in the consequent is closed; without it True and the definitional schema for
@@ -78,69 +86,42 @@ def _lf_key(item: LabelledFormula) -> tuple:
 
 # --- independent derivation checking -------------------------------------------
 
+# rule -> (sides x:A must stand on, connectives A may have, error otherwise,
+# A -> [(formulas added at x on the left, on the right) for each premise]);
+# the principal leaves its side.
+_LABELLED_FORMULA_RULES = {
+    INIT: (("left", "right"), Formula, "Init needs the formula on both sides", lambda f: ()),
+    LBOT: (("left",), Falsum, "LBot needs x:False on the left", lambda f: ()),
+    RTOP: (("right",), Verum, "RTop needs x:True on the right", lambda f: ()),
+    LAND: (("left",), (And, Iff), "LAnd principal must be a left conjunction or biconditional",
+           lambda f: [(_components(f), ())]),
+    RAND: (("right",), (And, Iff), "RAnd principal must be a right conjunction or biconditional",
+           lambda f: [((), (c,)) for c in _components(f)]),
+    LOR: (("left",), Or, "LOr principal must be a left disjunction",
+          lambda f: [((f.left,), ()), ((f.right,), ())]),
+    ROR: (("right",), Or, "ROr principal must be a right disjunction", lambda f: [((), (f.left, f.right))]),
+    LNOT: (("left",), Not, "LNot principal must be a left negation", lambda f: [((), (f.sub,))]),
+    RNOT: (("right",), Not, "RNot principal must be a right negation", lambda f: [((f.sub,), ())]),
+    LIMP: (("left",), Imp, "LImp principal must be a left implication",
+           lambda f: [((), (f.left,)), ((f.right,), ())]),
+    RIMP: (("right",), Imp, "RImp principal must be a right implication", lambda f: [((f.left,), (f.right,))]),
+}
+
+
 def _expected_premises(s: SequentState, rule: str, principal: tuple) -> list[SequentState] | str:
     """Premise sequents forced by a rule instance, or an error string."""
-
-    def state(rel=None, left=None, right=None):
-        return SequentState(
-            frozenset(rel if rel is not None else s.rel),
-            frozenset(left if left is not None else s.left),
-            frozenset(right if right is not None else s.right),
-        )
-
-    if rule in (LAND, RAND, LOR, ROR, LNOT, RNOT, LIMP, RIMP, INIT, LBOT, RTOP):
+    row = _LABELLED_FORMULA_RULES.get(rule)
+    if row is not None:
         if not (isinstance(principal, tuple) and len(principal) == 2):
             return "principal must be a labelled formula"
+        sides, kinds, error, premises = row
         x, f = principal
-        if rule == INIT:
-            return [] if principal in s.left and principal in s.right else "Init needs the formula on both sides"
-        if rule == LBOT:
-            return [] if isinstance(f, Falsum) and principal in s.left else "LBot needs x:False on the left"
-        if rule == RTOP:
-            return [] if isinstance(f, Verum) and principal in s.right else "RTop needs x:True on the right"
-        if rule == LAND:
-            if not isinstance(f, (And, Iff)) or principal not in s.left:
-                return "LAnd principal must be a left conjunction or biconditional"
-            c1, c2 = _components(f)
-            return [state(left=s.left - {principal} | {(x, c1), (x, c2)})]
-        if rule == RAND:
-            if not isinstance(f, (And, Iff)) or principal not in s.right:
-                return "RAnd principal must be a right conjunction or biconditional"
-            c1, c2 = _components(f)
-            return [
-                state(right=s.right - {principal} | {(x, c1)}),
-                state(right=s.right - {principal} | {(x, c2)}),
-            ]
-        if rule == LOR:
-            if not isinstance(f, Or) or principal not in s.left:
-                return "LOr principal must be a left disjunction"
-            return [
-                state(left=s.left - {principal} | {(x, f.left)}),
-                state(left=s.left - {principal} | {(x, f.right)}),
-            ]
-        if rule == ROR:
-            if not isinstance(f, Or) or principal not in s.right:
-                return "ROr principal must be a right disjunction"
-            return [state(right=s.right - {principal} | {(x, f.left), (x, f.right)})]
-        if rule == LNOT:
-            if not isinstance(f, Not) or principal not in s.left:
-                return "LNot principal must be a left negation"
-            return [state(left=s.left - {principal}, right=s.right | {(x, f.sub)})]
-        if rule == RNOT:
-            if not isinstance(f, Not) or principal not in s.right:
-                return "RNot principal must be a right negation"
-            return [state(left=s.left | {(x, f.sub)}, right=s.right - {principal})]
-        if rule == LIMP:
-            if not isinstance(f, Imp) or principal not in s.left:
-                return "LImp principal must be a left implication"
-            return [
-                state(left=s.left - {principal}, right=s.right | {(x, f.left)}),
-                state(left=s.left - {principal} | {(x, f.right)}),
-            ]
-        if rule == RIMP:
-            if not isinstance(f, Imp) or principal not in s.right:
-                return "RImp principal must be a right implication"
-            return [state(left=s.left | {(x, f.left)}, right=s.right - {principal} | {(x, f.right)})]
+        if not isinstance(f, kinds) or any(principal not in getattr(s, side) for side in sides):
+            return error
+        left = s.left - {principal} if "left" in sides else s.left
+        right = s.right - {principal} if "right" in sides else s.right
+        return [SequentState(s.rel, left | {(x, g) for g in on_left}, right | {(x, g) for g in on_right})
+                for on_left, on_right in premises(f)]
 
     if rule == IRREF:
         if not (isinstance(principal, tuple) and len(principal) == 1):
@@ -154,7 +135,7 @@ def _expected_premises(s: SequentState, rule: str, principal: tuple) -> list[Seq
         x, y, z = principal
         if (x, y) not in s.rel or (y, z) not in s.rel:
             return "Trans needs xRy and yRz among the relational atoms"
-        return [state(rel=s.rel | {(x, z)})]
+        return [SequentState(s.rel | {(x, z)}, s.left, s.right)]
 
     if rule == LBOX:
         if not (isinstance(principal, tuple) and len(principal) == 3):
@@ -164,7 +145,7 @@ def _expected_premises(s: SequentState, rule: str, principal: tuple) -> list[Seq
             return "LBox needs x:Box A on the left"
         if (x, y) not in s.rel:
             return "LBox needs xRy among the relational atoms"
-        return [state(left=s.left | {(y, f.sub)})]
+        return [SequentState(s.rel, s.left | {(y, f.sub)}, s.right)]
 
     if rule == RBOXLOB:
         if not (isinstance(principal, tuple) and len(principal) == 3):
@@ -174,11 +155,7 @@ def _expected_premises(s: SequentState, rule: str, principal: tuple) -> list[Seq
             return "RBoxLob needs x:Box A on the right"
         if y in s.labels():
             return f"RBoxLob label {y} is not fresh"
-        return [state(
-            rel=s.rel | {(x, y)},
-            left=s.left | {(y, f)},
-            right=s.right - {(x, f)} | {(y, f.sub)},
-        )]
+        return [SequentState(s.rel | {(x, y)}, s.left | {(y, f)}, s.right - {(x, f)} | {(y, f.sub)})]
 
     return f"unknown rule {rule!r}"
 
@@ -230,14 +207,8 @@ class _Texts(dict):
         return text
 
 
-def _principal_to_list(rule: str, principal: tuple, texts: _Texts) -> list:
-    if rule in (IRREF, TRANS):
-        return list(principal)
-    if rule in (LBOX, RBOXLOB):
-        x, f, y = principal
-        return [x, texts[f], y]
-    x, f = principal
-    return [x, texts[f]]
+def _principal_to_list(principal: tuple, texts: _Texts) -> list:
+    return [texts[v] if isinstance(v, Formula) else v for v in principal]
 
 
 def _label(v) -> int:
@@ -269,7 +240,7 @@ def derivation_to_dict(d: Derivation, goal: Formula) -> dict:
     for depth, node, s in _replay(d, goal):
         doc = {
             "rule": node.rule,
-            "principal": _principal_to_list(node.rule, node.principal, texts),
+            "principal": _principal_to_list(node.principal, texts),
             "sequent": _sequent_to_dict(s, texts),
             "premises": [],
         }
@@ -305,7 +276,7 @@ def derivation_from_dict(doc: dict) -> Derivation:
         # compared as JSON text, where 0, 0.0 and false differ
         if json.dumps(derivation_to_dict(d, goal), sort_keys=True) != json.dumps(doc, sort_keys=True):
             raise ValueError("the stated sequents are not the replayed ones")
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, ParseError) as exc:
         raise ValueError(f"malformed derivation document: {exc}") from None
     return d
 
@@ -330,7 +301,7 @@ def derivation_to_text(d: Derivation, goal: Formula) -> str:
     lines: list[str] = []
     texts = _Texts()
     for depth, node, s in _replay(d, goal):
-        principal = ",".join(str(v) for v in _principal_to_list(node.rule, node.principal, texts))
+        principal = ",".join(str(v) for v in _principal_to_list(node.principal, texts))
         lines.append("  " * depth + f"{node.rule}[{principal}]  {_sequent_to_text(s, texts)}")
     return "\n".join(lines) + "\n"
 

@@ -235,6 +235,8 @@ def proof_from_dict(doc: dict) -> HilbertProof:
     for k, raw in enumerate(doc["steps"]):
         if not isinstance(raw, dict) or "kind" not in raw or "formula" not in raw:
             raise ValueError(f"step {k}: each step needs 'kind' and 'formula'")
+        if not isinstance(raw["formula"], str):
+            raise ValueError(f"step {k}: 'formula' must be a string")
         formula = parse(raw["formula"])
         kind = raw["kind"]
         if kind == "axiom":

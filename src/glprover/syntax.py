@@ -10,10 +10,10 @@ connectives' precedence and walk with explicit stacks, so they take any depth.
 Formulas are hash-consed (Filliatre & Conchon, *Type-safe modular
 hash-consing*, 2006): a constructor returns the one live node with its
 constructor and children, so structural equality is identity and ``==`` is
-``is``.  Each node carries its structural hash and its ``sort_key``, both
-computed once from its children's, and caches its subformula set on first
-request.  The intern table holds its nodes weakly: a formula nobody uses any
-more leaves it.
+``is``, and the default identity hash agrees with it.  Each node carries its
+``sort_key``, computed once from its children's, and caches its subformula
+set on first request.  The intern table holds its nodes weakly: a formula
+nobody uses any more leaves it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class Formula:
     the interned node.
     """
 
-    __slots__ = ("_hash", "sort_key", "_subformulas", "__weakref__")
+    __slots__ = ("sort_key", "_subformulas", "__weakref__")
     _fields: tuple[str, ...] = ()
     _tag = -1
 
@@ -46,14 +46,10 @@ class Formula:
             init = object.__setattr__
             for name, value in zip(cls._fields, args):
                 init(node, name, value)
-            init(node, "_hash", hash((cls._tag, *args)))
             init(node, "sort_key", (cls._tag, *(a.sort_key if isinstance(a, Formula) else a for a in args)))
             init(node, "_subformulas", None)
             _INTERN[key] = node
         return node
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

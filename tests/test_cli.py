@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from glprover import cli, sequent
 from glprover.cli import main
 from glprover.hilbert import proof_to_json, verum_proof
 from glprover.semantics import holds, is_itf, model_from_json, model_to_json
-from glprover.sequent import check_derivation, derivation_from_json
+from glprover.sequent import check_derivation, derivation_from_json, derivation_to_json
 from glprover.syntax import FALSE, TRUE, And, Atom, Box, Formula, Iff, Imp, Not, Or, parse, pretty, subformulas
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -128,12 +129,16 @@ def test_prove_many_sequential_splits_refuted(capsys):
     assert capsys.readouterr().out.startswith("refuted:")
 
 
+def _module_env(**extra) -> dict:
+    """The environment of a ``python -m glprover.cli`` run on this checkout."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
 @pytest.mark.parametrize("formula, code, verdict", [("p", 1, "refuted:"), ("p --> p", 0, "proved:")])
 def test_run_as_module(formula, code, verdict):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     run = subprocess.run([sys.executable, "-m", "glprover.cli", "prove", formula],
-                         capture_output=True, text=True, env=env, timeout=60)
+                         capture_output=True, text=True, env=_module_env(), timeout=60)
     assert run.returncode == code
     assert run.stdout.startswith(verdict)
 
@@ -372,3 +377,107 @@ def test_prove_exits_with_a_contract_code(size, seed, edits):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["prove", text, "--max-steps", "2000"])
     assert code in (0, 1, 2, 3)
+
+
+def test_check_proof_formula_not_a_string_exit_2(tmp_path, capsys):
+    for formula in (5, True, None, ["p"]):
+        doc = json.loads(proof_to_json(verum_proof()))
+        doc["steps"][1]["formula"] = formula
+        path = tmp_path / f"bad-{formula}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check-proof", str(path)]) == 2
+        assert "step 1: 'formula' must be a string" in capsys.readouterr().err
+
+
+def _valid_document(kind: str):
+    if kind == "proof":
+        return json.loads(proof_to_json(verum_proof()))
+    if kind == "model":
+        result = sequent.search(parse(REFLECTION))
+        return json.loads(model_to_json(result.countermodel, result.falsified_at))
+    f = parse("Box (q && p) --> Box p")
+    return json.loads(derivation_to_json(sequent.search(f).derivation, f))
+
+
+def _positions(doc, path=()):
+    """The path of every value in a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _positions(value, path + (key,))
+
+
+_DELETE = object()
+_REPLACEMENTS = [5, True, "p &&", None, -1, 0.5, "", "p", "Box p", [], {}, [0, "p"], _DELETE]
+
+
+def _replaced(doc, path, value):
+    """A copy of ``doc`` whose value at the nonempty ``path`` is ``value``,
+    or is removed for ``_DELETE``."""
+    doc = copy.deepcopy(doc)
+    container = doc
+    for key in path[:-1]:
+        container = container[key]
+    if value is _DELETE:
+        del container[path[-1]]
+    else:
+        container[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["proof", "model", "derivation"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_are_rejected_as_input(kind, data, tmp_path_factory):
+    # a valid document with one to three values replaced or removed
+    doc = _valid_document(kind)
+    for _ in range(data.draw(st.integers(1, 3))):
+        positions = list(_positions(doc))[1:]
+        if not positions:
+            break
+        doc = _replaced(doc, data.draw(st.sampled_from(positions)), data.draw(st.sampled_from(_REPLACEMENTS)))
+    if kind == "derivation":
+        try:
+            derivation_from_json(json.dumps(doc))
+        except ValueError:
+            pass
+        return
+    # a fresh path each time: overwriting a file is slow on some file systems
+    path = str(tmp_path_factory.mktemp(kind) / "doc.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    argvs = [["check-proof", path]] if kind == "proof" else [["check-model", path, REFLECTION, "0"],
+                                                            ["bisim", path, path]]
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv[0], doc)
+
+
+_PROVE_EMITS = ["--emit-proof", "proof", "--emit-countermodel", "model"]
+_SEED_CALLS = [
+    *(["prove", "Box (p <-> q) --> (Box p <-> Box q)", "--format", fmt, *_PROVE_EMITS]
+      for fmt in ("text", "structured", "graph")),
+    *(["prove", REFLECTION, "--format", fmt, *_PROVE_EMITS] for fmt in ("text", "graph")),
+    ["henkin", DIAMONDS, "--eval-budget", "16384", "--emit-model", "model", "--emit-worlds", "worlds"],
+    ["oracle", "Box (p || q) --> Box p || Box q", "--max-worlds", "3", "--emit-countermodel", "model"],
+]
+
+
+def _cli_outputs(seed: str, tmp_path) -> list:
+    """Exit code, stdout and emitted files of each call, run as a module
+    under the given hash seed, each call in a directory of its own."""
+    outputs = []
+    for k, argv in enumerate(_SEED_CALLS):
+        cwd = tmp_path / f"{seed}-{k}"
+        cwd.mkdir()
+        run = subprocess.run([sys.executable, "-m", "glprover.cli", *argv], cwd=cwd,
+                             capture_output=True, env=_module_env(PYTHONHASHSEED=seed), timeout=60)
+        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+        assert files, argv
+        outputs.append((run.returncode, run.stdout, files))
+    return outputs
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    assert _cli_outputs("0", tmp_path) == _cli_outputs("7", tmp_path)

@@ -248,6 +248,11 @@ def test_derivation_json_malformed():
         derivation_from_json("{")
     with pytest.raises(ValueError):
         derivation_from_json('{"rule": "Init"}')
+    f = parse("p --> p")
+    doc = json.loads(derivation_to_json(search(f).derivation, f))
+    doc["principal"] = [0, "p &&"]
+    with pytest.raises(ValueError, match="malformed derivation document"):
+        derivation_from_json(json.dumps(doc))
 
 
 def test_no_open_branch_contains_irreflexive_violation(corpus):

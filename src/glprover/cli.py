@@ -4,10 +4,12 @@ Exit statuses: 0 = theorem proved (or check passed), 1 = refuted / rejected
 (countermodel or report emitted), 2 = usage or input error, 3 = resource
 budget exceeded.  Failed self-checks of either verdict and any other
 unexpected exception exit with 4; they indicate an engine bug, never bad
-input.  The parser and the printer do not recurse; a limit of the
-interpreter that remains (comparing deeply nested sort keys, ``json`` on
-deeply nested documents) exits with 2.  A certificate file that cannot be
-written fails the call before its verdict is printed.
+input.  The parser, the printer and the certificate writers do not recurse.
+A structured derivation carries at most ``derivation.STRUCTURED_MAX_DEPTH``
+levels, and a deeper one exits with 2 before its verdict is printed; so does
+the limit of the interpreter that remains, comparing deeply nested sort keys.
+A certificate file that cannot be written fails the call before its verdict
+is printed.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def cmd_prove(args) -> int:
                   "text": sequent.derivation_to_text}[args.format]
         try:
             text = render(d, formula) if args.emit_proof else None
-        except RecursionError:  # only json.dumps recurses, once per nesting level
+        except RecursionError:  # deeper than derivation.STRUCTURED_MAX_DEPTH
             return _fail("derivation too deeply nested for --format structured; use text or graph")
         _report(f"proved: {pretty(formula)}", (args.emit_proof, text))
         return PROVED
@@ -126,9 +128,7 @@ def cmd_henkin(args) -> int:
     sm, world = outcome
     index = sm.worlds.index(world)
     model = semantics.model_to_json(sm.model, index) if args.emit_model else None
-    worlds = None
-    if args.emit_worlds:
-        worlds = json.dumps(henkin.world_lists_to_dict(sm), indent=2, sort_keys=True) + "\n"
+    worlds = henkin.world_lists_to_json(sm) if args.emit_worlds else None
     _report(f"refuted: standard model with {len(sm.worlds)} worlds, false at world {index}",
             (args.emit_model, model), (args.emit_worlds, worlds))
     return REFUTED

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ._jsontext import dumps_indented, loads
 from .syntax import And, Box, Falsum, Formula, Iff, Imp, Not, Or, ParseError, Verum, parse, pretty, sort_key
 
 # Rule identifiers.  Leaves: Init, LBot, Irref, plus RTop (a sequent with x:True
@@ -35,6 +36,13 @@ LBOX, RBOXLOB, TRANS = "LBox", "RBoxLob", "Trans"
 
 LEAF_RULES = (INIT, LBOT, IRREF, RTOP)
 TWO_PREMISE_RULES = (RAND, LOR, LIMP)
+
+# The deepest node a structured (JSON) derivation document holds, in premises
+# below the root.  Its text indents two levels per rule, so it grows with the
+# square of the depth; and ``json.loads``, which reads it back, recurses once
+# per JSON level.  494 is the depth ``json.dumps(indent=2)`` reached under the
+# default recursion limit when it wrote these documents.
+STRUCTURED_MAX_DEPTH = 494
 
 LabelledFormula = tuple[int, Formula]
 RelAtom = tuple[int, int]
@@ -234,10 +242,14 @@ def _sequent_to_dict(s: SequentState, texts: _Texts) -> dict:
 
 
 def derivation_to_dict(d: Derivation, goal: Formula) -> dict:
-    """Nested document of a derivation of ``=> 0:goal``, with replayed sequents."""
+    """Nested document of a derivation of ``=> 0:goal``, with replayed
+    sequents; RecursionError if a node lies deeper than
+    ``STRUCTURED_MAX_DEPTH``."""
     open_nodes: list[dict] = []  # the document's nodes from the root down
     texts = _Texts()
     for depth, node, s in _replay(d, goal):
+        if depth > STRUCTURED_MAX_DEPTH:
+            raise RecursionError(f"derivation deeper than {STRUCTURED_MAX_DEPTH} levels")
         doc = {
             "rule": node.rule,
             "principal": _principal_to_list(node.principal, texts),
@@ -252,7 +264,7 @@ def derivation_to_dict(d: Derivation, goal: Formula) -> dict:
 
 
 def derivation_to_json(d: Derivation, goal: Formula) -> str:
-    return json.dumps(derivation_to_dict(d, goal), indent=2, sort_keys=True) + "\n"
+    return dumps_indented(derivation_to_dict(d, goal))
 
 
 def _tree_from_dict(doc: dict) -> Derivation:
@@ -276,17 +288,13 @@ def derivation_from_dict(doc: dict) -> Derivation:
         # compared as JSON text, where 0, 0.0 and false differ
         if json.dumps(derivation_to_dict(d, goal), sort_keys=True) != json.dumps(doc, sort_keys=True):
             raise ValueError("the stated sequents are not the replayed ones")
-    except (KeyError, TypeError, IndexError, ValueError, ParseError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, ParseError, RecursionError) as exc:
         raise ValueError(f"malformed derivation document: {exc}") from None
     return d
 
 
 def derivation_from_json(text: str) -> Derivation:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return derivation_from_dict(doc)
+    return derivation_from_dict(loads(text))
 
 
 def _sequent_to_text(s: SequentState, texts: _Texts) -> str:

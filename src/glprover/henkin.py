@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._jsontext import dumps_indented
 from .errors import BudgetExceededError, InternalCheckError
 from .hilbert import conjlist
 from .semantics import Model, _eval_mask, is_itf, make_model, truth_sets
@@ -223,3 +224,8 @@ def world_lists_to_dict(sm: StandardModel) -> dict:
     from .syntax import pretty
 
     return {str(i): [pretty(q) for q in lst] for i, lst in enumerate(sm.worlds)}
+
+
+def world_lists_to_json(sm: StandardModel) -> str:
+    """The sidecar document as the text ``glprover henkin --emit-worlds`` writes."""
+    return dumps_indented(world_lists_to_dict(sm))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ._jsontext import loads
 from .syntax import And, Atom, Box, FALSE, Formula, Iff, Imp, Not, Or, TRUE, parse, pretty
 
 _P, _Q, _R = Atom("p"), Atom("q"), Atom("r")
@@ -225,6 +226,9 @@ def proof_to_dict(pf: HilbertProof) -> dict:
 
 
 def proof_to_json(pf: HilbertProof) -> str:
+    # keys in insertion order ("kind" first), unlike the sorted certificates
+    # of ``_jsontext.dumps_indented``; a proof is shallow, so json's pure-Python
+    # indent encoder costs little here
     return json.dumps(proof_to_dict(pf), indent=2) + "\n"
 
 
@@ -259,8 +263,4 @@ def proof_from_dict(doc: dict) -> HilbertProof:
 
 
 def proof_from_json(text: str) -> HilbertProof:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return proof_from_dict(doc)
+    return proof_from_dict(loads(text))

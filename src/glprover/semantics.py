@@ -14,10 +14,10 @@ each frame in slices.  Bisimulations live in `glprover.bisimulation`.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from ._jsontext import dumps_indented, loads
 from .errors import BudgetExceededError
 from .syntax import And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, atoms
 
@@ -370,7 +370,7 @@ def model_to_dict(m: Model, falsified_at: int | None = None) -> dict:
 
 
 def model_to_json(m: Model, falsified_at: int | None = None) -> str:
-    return json.dumps(model_to_dict(m, falsified_at), indent=2, sort_keys=True) + "\n"
+    return dumps_indented(model_to_dict(m, falsified_at))
 
 
 def _natural(v) -> bool:
@@ -405,11 +405,7 @@ def model_from_dict(doc: dict) -> tuple[Model, int | None]:
 
 
 def model_from_json(text: str) -> tuple[Model, int | None]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(loads(text))
 
 
 def model_to_dot(m: Model, falsified_at: int | None = None) -> str:

@@ -75,6 +75,35 @@ def test_prove_structured_too_deep_exit_2_without_verdict(monkeypatch, tmp_path,
     assert not out.exists()
 
 
+def test_prove_structured_beyond_depth_limit_exit_2_text_exit_0(tmp_path, capsys):
+    n = 495  # a derivation of n RImp steps and an Init, one level beyond the limit
+    formula = " --> ".join(f"a{i}" for i in range(n)) + " --> a0"
+    out = tmp_path / "proof"
+    assert main(["prove", formula, "--emit-proof", str(out), "--format", "structured"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: derivation too deeply nested for --format structured; use text or graph\n"
+    assert not out.exists()
+    assert main(["prove", formula, "--emit-proof", str(out), "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("proved: ")
+    assert len(out.read_text().splitlines()) == n + 1
+
+
+@pytest.mark.parametrize("command, message", [
+    (["check-model", "{path}", "p", "0"], "cannot read model: invalid JSON: "),
+    (["bisim", "{path}", "{path}"], "cannot read model {path}: invalid JSON: "),
+    (["check-proof", "{path}"], "cannot read proof: invalid JSON: "),
+])
+def test_deeply_nested_input_file_exit_2(command, message, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main([arg.format(path=path) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(path=path))
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_prove_deep_nesting_exit_2(capsys):
     assert main(["prove", "(" * 200 + "p" + ")" * 200]) == 1
     assert capsys.readouterr().out.startswith("refuted: p ")

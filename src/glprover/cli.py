@@ -6,8 +6,10 @@ budget exceeded.  Failed self-checks of either verdict and any other
 unexpected exception exit with 4; they indicate an engine bug, never bad
 input.  The parser, the printer and the certificate writers do not recurse.
 A structured derivation carries at most ``derivation.STRUCTURED_MAX_DEPTH``
-levels, and a deeper one exits with 2 before its verdict is printed; so does
-the limit of the interpreter that remains, comparing deeply nested sort keys.
+levels, and a deeper one exits with 2 before its verdict is printed.  So does
+the one interpreter limit left on the prove path: two formulas thousands of
+levels deep that wait for the same rule at one label, whose nested sort keys
+the proof search compares.
 A certificate file that cannot be written fails the call before its verdict
 is printed.
 """

@@ -11,18 +11,27 @@ validated semantically before being returned.
 
 A branch is its sequent plus one agenda: a heap of the instances of every
 rule but the Loeb right-box rule, ranked by the fixed order and pushed as
-formulas and relational atoms arrive, so selecting the next rule never
-scans the whole sequent or relation.  The rule sequence is the one the fixed
-ordering defines, except that a split is dropped when one of its premises
-closes without taking as principal any formula that premise added: that
-subtree then replaces the split, and the other premises are never searched.
-A rule tree needs of its root sequent only the formulas it takes as
-principal, since a rule only asks that its principal be present and fresh
-labels come from one counter.  The split's conclusion holds every formula of
-the premise but those the split added, so the subtree derives it as well
-(weakening), and the verdict is the one full splitting would reach.  The
-search is one loop: the premises of a split wait on an explicit stack, so
-the number of splits on a branch is not bounded by the interpreter's
+formulas and relational atoms arrive, so selecting the next rule never scans
+the whole sequent or relation.  Selection pops the instance it applies, and
+a branch keeps no record of applied instances, because of two invariants.
+First, an instance on the agenda stays applicable until it is popped, Trans
+aside: a left-box instance (x, A, y) is pushed once, by whichever of xRy and
+x:Box A arrives second, and neither ever leaves; a propositional principal
+leaves only as its own rule's principal.  Second, a right box x:Box A that
+the Loeb right-box rule has taken never returns: every relational atom
+points from an older label to a newer one, that rule runs only on a
+saturated agenda, and everything it and the rules after it add lands at the
+new label, so no older label gains a formula again.  The rule sequence is
+the one the fixed ordering defines, except that a split is dropped when one
+of its premises closes without taking as principal any formula that premise
+added: that subtree then replaces the split, and the other premises are
+never searched.  A rule tree needs of its root sequent only the formulas it
+takes as principal, since a rule only asks that its principal be present and
+fresh labels come from one counter.  The split's conclusion holds every
+formula of the premise but those the split added, so the subtree derives it
+as well (weakening), and the verdict is the one full splitting would reach.
+The search is one loop: the premises of a split wait on an explicit stack,
+so the number of splits on a branch is not bounded by the interpreter's
 recursion limit.
 
 The search returns a rule tree; the derivation module checks and writes it,
@@ -94,9 +103,11 @@ _PRINCIPAL_SIDE = ({rule: on_left for rule, (on_left, _, _) in _PROP_RULES.items
 
 
 class _Branch:
-    """Mutable working state of one search branch: its sequent, the rule
-    instances already applied on it (``bookkeeping``), and the ``agenda``
-    that candidate selection reads instead of scanning the sequent.
+    """Mutable working state of one search branch: its sequent and the
+    ``agenda`` that candidate selection reads instead of scanning the
+    sequent.  No record of applied instances is needed: selection pops what
+    it applies, a left-box instance is pushed once, and a right box the Loeb
+    right-box rule retires never returns (see the module docstring).
 
     - ``succ``: the successors of each label, which hold the relational
       atoms, and ``boxes``: the left boxed formulas of each label, both as
@@ -107,16 +118,15 @@ class _Branch:
       ``key`` orders the instances of one rule: the labelled formula's
       ``(x, sort_key(f))`` for Init and the propositional rules, the label
       for LBot, Irref and RTop, ``(x, y, z)`` for Trans and
-      ``(x, sort_key(f), y)`` for LBox.  An instance stays on the agenda
-      after it is applied or its principal goes; selection pops it then.
+      ``(x, sort_key(f), y)`` for LBox.
     """
 
-    __slots__ = ("succ", "boxes", "left", "right", "bookkeeping", "agenda")
+    __slots__ = ("succ", "boxes", "left", "right", "agenda")
 
     def __init__(self, goal: Formula):
         self.succ: dict[int, frozenset[int]] = {}
         self.boxes: dict[int, tuple[Box, ...]] = {}
-        self.left, self.right, self.bookkeeping = set(), set(), set()
+        self.left, self.right = set(), set()
         self.agenda: list[tuple] = []
         self.add(False, (0, goal))
 
@@ -150,10 +160,11 @@ class _Branch:
         for f in self.boxes.get(x, ()):
             self.push(LBOX, (x, f.sort_key, y), (x, f, y))
 
-    def add(self, on_left: bool, item: LabelledFormula):
+    def add(self, on_left: bool, item: LabelledFormula) -> bool:
+        """Add ``item`` to one side; whether it was new there."""
         side, other = (self.left, self.right) if on_left else (self.right, self.left)
         if item in side:
-            return
+            return False
         side.add(item)
         x, f = item
         if item in other:
@@ -169,16 +180,10 @@ class _Branch:
             self.push(LBOT, x, item)
         elif not on_left and isinstance(f, Verum):
             self.push(RTOP, x, item)
+        return True
 
     def freeze(self) -> SequentState:
         return SequentState(frozenset(self.rel), frozenset(self.left), frozenset(self.right))
-
-
-@dataclass
-class _Open:
-    """Saturated open branch, aborting the search with a refutation."""
-
-    state: SequentState
 
 
 class _Searcher:
@@ -195,29 +200,20 @@ class _Searcher:
     # -- deterministic candidate selection --
 
     def find_next(self, br: _Branch):
-        """The least live instance on the agenda, as ``(rule, principal)``;
-        the stale ones above it are popped."""
+        """Pop the least live instance off the agenda and return it, as
+        ``(rule, principal)``.  Only a Trans instance (x, y, z) can go stale,
+        when another Trans instance adds xRz first.  Every other instance is
+        pushed once and stays applicable until it is popped: its principal
+        leaves the sequent only as the principal of its own rule."""
         agenda = br.agenda
         while agenda:
-            _, _, rule, principal = agenda[0]
-            if rule in _PROP_RULES:
-                live = principal in (br.left if _PROP_RULES[rule][0] else br.right)
-            elif rule == TRANS:
-                live = principal[2] not in br.succ[principal[0]]
-            elif rule == LBOX:
-                live = (LBOX, *principal) not in br.bookkeeping
-            else:  # a closure: no rule application removes what it needs
-                live = True
-            if live:
+            _, _, rule, principal = heappop(agenda)
+            if rule != TRANS or principal[2] not in br.succ[principal[0]]:
                 return rule, principal
-            heappop(agenda)
         return None
 
     def find_rboxlob(self, br: _Branch):
-        candidates = [
-            (x, f) for x, f in br.right
-            if isinstance(f, Box) and (RBOXLOB, x, f) not in br.bookkeeping
-        ]
+        candidates = [(x, f) for x, f in br.right if isinstance(f, Box)]
         if not candidates:
             return None
         bodies = [f.sub for _, f in candidates]
@@ -243,22 +239,21 @@ class _Searcher:
         x, f = principal
         parts = decompose(f)
         (br.left if on_left else br.right).discard(principal)
-        added = None
-        if len(parts) > 1:  # read before any premise adds its components
-            added = [{(side, (x, g)) for side, g in part if (x, g) not in (br.left if side else br.right)}
-                     for part in parts]
+        if len(parts) == 1:
+            for side, g in parts[0]:
+                br.add(side, (x, g))
+            return [br], None
         premises = [br.copy() for _ in parts[1:]] + [br]
-        for premise, part in zip(premises, parts):
-            for side, g in part:
-                premise.add(side, (x, g))
+        added = [{(side, (x, g)) for side, g in part if premise.add(side, (x, g))}
+                 for premise, part in zip(premises, parts)]
         return premises, added
 
     # -- the search loop --
 
     def expand(self, br: _Branch):
         """The derivation of ``br``'s sequent, or the first saturated open
-        branch.  The premises of a split wait on an explicit stack, so no
-        number of splits is too deep.
+        branch itself.  The premises of a split wait on an explicit stack, so
+        no number of splits is too deep.
 
         A closed subtree comes with the labelled formulas it takes as
         principal, as ``(on_left, x:A)``; relational atoms are left out,
@@ -278,7 +273,7 @@ class _Searcher:
             if selected is None:
                 rbox = self.find_rboxlob(br)
                 if rbox is None:
-                    return _Open(br.freeze())
+                    return br
                 x, f = rbox
                 y = self.next_label
                 self.next_label += 1
@@ -287,7 +282,6 @@ class _Searcher:
                 br.add(True, (y, f))
                 br.right.discard(rbox)
                 br.add(False, (y, f.sub))
-                br.bookkeeping.add((RBOXLOB, x, f))
                 segments.append((RBOXLOB, (x, f, y)))
                 continue
 
@@ -296,9 +290,8 @@ class _Searcher:
             if rule == TRANS:
                 br.add_rel(principal[0], principal[2])
             elif rule == LBOX:
-                x, f, y = principal
+                _, f, y = principal
                 br.add(True, (y, f.sub))
-                br.bookkeeping.add((LBOX, x, f, y))
             elif rule in _PROP_RULES:
                 premises, added = self.apply_prop(br, rule, principal)
                 if added is not None:
@@ -367,9 +360,10 @@ def search(f: Formula, max_steps: int = DEFAULT_MAX_STEPS) -> SearchResult:
     validated countermodel from the first saturated open branch."""
     searcher = _Searcher(max_steps)
     outcome = searcher.expand(_Branch(f))
-    if isinstance(outcome, _Open):
-        model, world = extract_countermodel(outcome.state, 0)
-        if world in truth_sets(model)(f):
-            raise InternalCheckError("extracted model does not falsify the goal at the root")
-        return Refuted(outcome.state, model, world)
-    return Proved(outcome)
+    if isinstance(outcome, Derivation):
+        return Proved(outcome)
+    branch = outcome.freeze()
+    model, world = extract_countermodel(branch, 0)
+    if world in truth_sets(model)(f):
+        raise InternalCheckError("extracted model does not falsify the goal at the root")
+    return Refuted(branch, model, world)

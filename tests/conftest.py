@@ -53,3 +53,15 @@ def corpus() -> list[Formula]:
     modal depth 3, generated from a fixed seed."""
     rng = random.Random(CORPUS_SEED)
     return [random_formula(rng) for _ in range(200)]
+
+
+@pytest.fixture(scope="session")
+def tier_formulas() -> list[Formula]:
+    """The 180 random formulas of the benchmark's prove-random workload: 60
+    per tier of (connectives, modal depth), each tier drawn afresh from seed
+    7, in the order of ``perfbench/workloads.py``."""
+    formulas = []
+    for connectives, depth in ((20, 4), (30, 5), (40, 6)):
+        rng = random.Random(7)
+        formulas += [random_formula(rng, connectives, max_modal_depth=depth) for _ in range(60)]
+    return formulas

@@ -104,11 +104,15 @@ def test_deeply_nested_input_file_exit_2(command, message, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-def test_prove_deep_nesting_exit_2(capsys):
+def test_prove_two_deep_formulas_at_one_label_exit_2(capsys):
     assert main(["prove", "(" * 200 + "p" + ")" * 200]) == 1
     assert capsys.readouterr().out.startswith("refuted: p ")
-    # the parser no longer recurses, but comparing the agenda's sort keys does
-    assert main(["prove", "Not " * 3000 + "p"]) == 2
+    # one deep formula is refuted: its agenda never holds two deep keys
+    assert main(["prove", "Not " * 3000 + "p"]) == 1
+    assert capsys.readouterr().out.startswith("refuted: ")
+    # two deep formulas waiting for RNot at label 0 compare nested sort keys
+    deep = "(" + "Not " * 3000 + "p) || (" + "Not " * 3000 + "q)"
+    assert main(["prove", deep]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nested too deeply" in err
     assert len(err.splitlines()) == 1

@@ -12,12 +12,12 @@ from glprover.semantics import Falsified, ValidUpTo, holds, is_itf, oracle_valid
 from glprover.sequent import (
     Derivation, INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR,
     Proved, RAND, RBOXLOB, RIMP, RNOT, ROR, RTOP, Refuted, TRANS, TWO_PREMISE_RULES,
-    _Branch, _Open, _Searcher, check_derivation, derivation_error,
+    _Branch, _Searcher, check_derivation, derivation_error,
     derivation_from_json, derivation_to_dot,
     derivation_to_json, derivation_to_text, extract_countermodel, search,
 )
 from glprover.syntax import (
-    And, Atom, Box, FALSE, Falsum, Iff, Imp, Not, Or, Verum, parse, pretty, sort_key,
+    And, Atom, Box, FALSE, Falsum, Iff, Imp, Not, Or, Verum, parse, pretty, sort_key, subformulas,
 )
 
 P = Atom("p")
@@ -388,7 +388,20 @@ def _lf_key(item):
 
 class _ScanningSearcher(_Searcher):
     """Reference selectors that scan and sort the whole sequent and relation
-    at every step; the indexed selectors must choose exactly what they do."""
+    at every step; the indexed selectors must choose exactly what they do.
+    The reference also keeps the loop check the indexed search does without:
+    each branch records the LBox and RBoxLob instances applied on it, copied
+    at splits, and neither rule is applied twice to one instance there."""
+
+    def expand(self, br):
+        self.applied = {br: set()}  # branch -> its applied LBox and RBoxLob instances
+        return super().expand(br)
+
+    def apply_prop(self, br, rule, principal):
+        premises, added = super().apply_prop(br, rule, principal)
+        for premise in premises[:-1]:  # the last premise is br itself
+            self.applied[premise] = set(self.applied[br])
+        return premises, added
 
     def find_next(self, br):
         found = self.find_close(br) or self.find_prop(br)
@@ -398,7 +411,10 @@ class _ScanningSearcher(_Searcher):
         if trans is not None:
             return TRANS, trans
         lbox = self.find_lbox(br)
-        return None if lbox is None else (LBOX, lbox)
+        if lbox is None:
+            return None
+        self.applied[br].add((LBOX, *lbox))
+        return LBOX, lbox
 
     def find_close(self, br):
         shared = br.left & br.right
@@ -443,19 +459,44 @@ class _ScanningSearcher(_Searcher):
         boxes = sorted(((x, f) for x, f in br.left if isinstance(f, Box)), key=_lf_key)
         for x, f in boxes:
             for x2, y in sorted(br.rel):
-                if x2 == x and ("LBox", x, f, y) not in br.bookkeeping:
+                if x2 == x and (LBOX, x, f, y) not in self.applied[br]:
                     return (x, f, y)
         return None
 
+    def find_rboxlob(self, br):
+        applied = self.applied[br]
+        candidates = [(x, f) for x, f in br.right if isinstance(f, Box) and (RBOXLOB, x, f) not in applied]
+        if not candidates:
+            return None
+        bodies = [f.sub for _, f in candidates]
 
-def _expand(searcher_class, f):
-    searcher = searcher_class(10**6)
-    outcome = searcher.expand(_Branch(f))
-    return (outcome.state if isinstance(outcome, _Open) else outcome), searcher.steps
+        def heuristic(item):
+            x, f = item
+            body = f.sub
+            negated = 0 if isinstance(body, Not) else 1
+            occurs = 0 if any(b != body and body in subformulas(b) for b in bodies) else 1
+            return (negated, occurs, sort_key(body), x)
+
+        chosen = min(candidates, key=heuristic)
+        applied.add((RBOXLOB, *chosen))
+        return chosen
 
 
-def test_indexed_selection_matches_scanning_reference(corpus):
+def _expand(searcher_class, f, max_steps):
+    """The derivation or the open branch's sequent, and the steps taken; or
+    the steps at which the budget ran out."""
+    searcher = searcher_class(max_steps)
+    try:
+        outcome = searcher.expand(_Branch(f))
+    except BudgetExceededError:
+        return "budget exceeded", searcher.steps
+    return (outcome.freeze() if isinstance(outcome, _Branch) else outcome), searcher.steps
+
+
+def test_indexed_selection_matches_scanning_reference(corpus, tier_formulas):
     extra = [parse(text) for text in PROVED_EXAMPLES + ["Box p --> Box Box Box Box p"]]
     extra += [_box_chain(6), _lob_conj(3)]
-    for f in corpus + extra:
-        assert _expand(_Searcher, f) == _expand(_ScanningSearcher, f), pretty(f)
+    for formulas, max_steps in ((corpus + extra, 10**6), (tier_formulas, 6000)):
+        for f in formulas:
+            expected = _expand(_ScanningSearcher, f, max_steps)
+            assert _expand(_Searcher, f, max_steps) == expected, pretty(f)

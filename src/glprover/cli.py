@@ -6,10 +6,11 @@ budget exceeded.  Failed self-checks of either verdict and any other
 unexpected exception exit with 4; they indicate an engine bug, never bad
 input.  The parser, the printer and the certificate writers do not recurse.
 A structured derivation carries at most ``derivation.STRUCTURED_MAX_DEPTH``
-levels, and a deeper one exits with 2 before its verdict is printed.  So does
-the one interpreter limit left on the prove path: two formulas thousands of
-levels deep that wait for the same rule at one label, whose nested sort keys
-the proof search compares.
+levels, and a deeper one exits with 2 before its verdict is printed.  So do
+the two interpreter limits left on the prove path, both in comparing the
+nested sort keys of two formulas thousands of levels deep: the proof search
+compares them when they wait for the same rule at one label, and the
+certificate writers when they sort one label's formulas in a proof sequent.
 A certificate file that cannot be written fails the call before its verdict
 is printed.
 """
@@ -72,7 +73,7 @@ def cmd_prove(args) -> int:
                   "text": sequent.derivation_to_text}[args.format]
         try:
             text = render(d, formula) if args.emit_proof else None
-        except RecursionError:  # deeper than derivation.STRUCTURED_MAX_DEPTH
+        except ValueError:  # a checked derivation deeper than derivation.STRUCTURED_MAX_DEPTH
             return _fail("derivation too deeply nested for --format structured; use text or graph")
         _report(f"proved: {pretty(formula)}", (args.emit_proof, text))
         return PROVED

@@ -243,13 +243,13 @@ def _sequent_to_dict(s: SequentState, texts: _Texts) -> dict:
 
 def derivation_to_dict(d: Derivation, goal: Formula) -> dict:
     """Nested document of a derivation of ``=> 0:goal``, with replayed
-    sequents; RecursionError if a node lies deeper than
+    sequents; ValueError if a node lies deeper than
     ``STRUCTURED_MAX_DEPTH``."""
     open_nodes: list[dict] = []  # the document's nodes from the root down
     texts = _Texts()
     for depth, node, s in _replay(d, goal):
         if depth > STRUCTURED_MAX_DEPTH:
-            raise RecursionError(f"derivation deeper than {STRUCTURED_MAX_DEPTH} levels")
+            raise ValueError(f"derivation deeper than {STRUCTURED_MAX_DEPTH} levels")
         doc = {
             "rule": node.rule,
             "principal": _principal_to_list(node.principal, texts),

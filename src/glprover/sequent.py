@@ -13,26 +13,33 @@ A branch is its sequent plus one agenda: a heap of the instances of every
 rule but the Loeb right-box rule, ranked by the fixed order and pushed as
 formulas and relational atoms arrive, so selecting the next rule never scans
 the whole sequent or relation.  Selection pops the instance it applies, and
-a branch keeps no record of applied instances, because of two invariants.
-First, an instance on the agenda stays applicable until it is popped, Trans
-aside: a left-box instance (x, A, y) is pushed once, by whichever of xRy and
-x:Box A arrives second, and neither ever leaves; a propositional principal
-leaves only as its own rule's principal.  Second, a right box x:Box A that
-the Loeb right-box rule has taken never returns: every relational atom
-points from an older label to a newer one, that rule runs only on a
-saturated agenda, and everything it and the rules after it add lands at the
-new label, so no older label gains a formula again.  The rule sequence is
-the one the fixed ordering defines, except that a split is dropped when one
-of its premises closes without taking as principal any formula that premise
-added: that subtree then replaces the split, and the other premises are
-never searched.  A rule tree needs of its root sequent only the formulas it
-takes as principal, since a rule only asks that its principal be present and
-fresh labels come from one counter.  The split's conclusion holds every
-formula of the premise but those the split added, so the subtree derives it
-as well (weakening), and the verdict is the one full splitting would reach.
-The search is one loop: the premises of a split wait on an explicit stack,
-so the number of splits on a branch is not bounded by the interpreter's
-recursion limit.
+an instance stays applicable until popped, so a branch keeps no record of
+applied ones: a left-box instance (x, A, y) is pushed once, by whichever of
+xRy and x:Box A arrives second; a propositional principal leaves only as its
+own rule's principal; and a right box the Loeb rule takes never returns, as
+that rule runs on an empty agenda and all it and later rules add lands at
+newer labels.  Two facts keep Trans and Irref out of the rest of the search.
+(a) Every atom a branch gains points to the newest label.  The Loeb rule
+adds xRy with y fresh, and each Trans instance it pushes, (w, x, y) for each
+w that sees x, adds wRy.  y has no successors until a later Loeb step at y,
+which runs only on an empty agenda.  So no atom is reflexive, and nothing
+else follows by transitivity.  (b) Trans instances share a rank and are
+keyed (w, x, y), so they pop least w first.  Any w' that sees w also sees x,
+since the relation was closed when the agenda emptied, and w' < w; so w'Ry
+is present when (w, x, y) is applied.  No instance is pushed twice, and none
+finds its atom already present.
+
+The rule sequence is the one the fixed ordering defines, except that a split
+is dropped when one of its premises closes without taking as principal any
+formula that premise added: that subtree then replaces the split, and the
+other premises are never searched.  A rule tree needs of its root sequent
+only the formulas it takes as principal, since a rule only asks that its
+principal be present and fresh labels come from one counter.  The split's
+conclusion holds every formula of the premise but those the split added, so
+the subtree derives it as well (weakening), and the verdict is the one full
+splitting would reach.  The search is one loop: the premises of a split
+wait on an explicit stack, so the number of splits on a branch is not
+bounded by the interpreter's recursion limit.
 
 The search returns a rule tree; the derivation module checks and writes it,
 independently of the search, and its functions are re-exported here.
@@ -94,10 +101,10 @@ _PROP_RULES = {
 _PROP_RULE_OF = {(on_left, kind): rule for rule, (on_left, kinds, _) in _PROP_RULES.items()
                  for kind in kinds}
 # The fixed order of the rules an agenda holds: a branch applies the least
-# live instance, and the Loeb right-box rule only when none is left.
-_RANK = {rule: rank for rank, rule in enumerate((INIT, LBOT, IRREF, RTOP, *_PROP_RULES, TRANS, LBOX))}
+# instance, and the Loeb right-box rule only when none is left.
+_RANK = {rule: rank for rank, rule in enumerate((INIT, LBOT, RTOP, *_PROP_RULES, TRANS, LBOX))}
 # The side of the one labelled formula x:A that a rule instance takes as
-# principal; Init takes x:A on both sides, Irref and Trans relational atoms only.
+# principal; Init takes x:A on both sides, Trans relational atoms only.
 _PRINCIPAL_SIDE = ({rule: on_left for rule, (on_left, _, _) in _PROP_RULES.items()}
                    | {LBOT: True, LBOX: True, RTOP: False, RBOXLOB: False})
 
@@ -105,9 +112,9 @@ _PRINCIPAL_SIDE = ({rule: on_left for rule, (on_left, _, _) in _PROP_RULES.items
 class _Branch:
     """Mutable working state of one search branch: its sequent and the
     ``agenda`` that candidate selection reads instead of scanning the
-    sequent.  No record of applied instances is needed: selection pops what
-    it applies, a left-box instance is pushed once, and a right box the Loeb
-    right-box rule retires never returns (see the module docstring).
+    sequent.  No record of applied instances is needed: no instance goes
+    stale, and Trans instances come only from the Loeb step, since every
+    relational atom points to the newest label (module docstring).
 
     - ``succ``: the successors of each label, which hold the relational
       atoms, and ``boxes``: the left boxed formulas of each label, both as
@@ -117,7 +124,7 @@ class _Branch:
       atoms arrive.  ``rank`` is the rule's place in the fixed order and
       ``key`` orders the instances of one rule: the labelled formula's
       ``(x, sort_key(f))`` for Init and the propositional rules, the label
-      for LBot, Irref and RTop, ``(x, y, z)`` for Trans and
+      for LBot and RTop, ``(x, y, z)`` for Trans and
       ``(x, sort_key(f), y)`` for LBox.
     """
 
@@ -145,18 +152,10 @@ class _Branch:
         heappush(self.agenda, (_RANK[rule], key, rule, principal))
 
     def add_rel(self, x: int, y: int):
-        succ_x = self.succ.get(x, frozenset())
-        if y in succ_x:
-            return
-        succ_x = self.succ[x] = succ_x | {y}
-        if x == y:
-            self.push(IRREF, x, (x,))
-        for z in self.succ.get(y, ()):
-            if z not in succ_x:
-                self.push(TRANS, (x, y, z), (x, y, z))
-        for w, succ_w in self.succ.items():
-            if x in succ_w and y not in succ_w:
-                self.push(TRANS, (w, x, y), (w, x, y))
+        """Record xRy, which is new, and push its left-box instances: y is
+        the newest label, with no successors, and each w that sees x has its
+        Trans instance from the Loeb step that made y (facts (a) and (b))."""
+        self.succ[x] = self.succ.get(x, frozenset()) | {y}
         for f in self.boxes.get(x, ()):
             self.push(LBOX, (x, f.sort_key, y), (x, f, y))
 
@@ -200,17 +199,11 @@ class _Searcher:
     # -- deterministic candidate selection --
 
     def find_next(self, br: _Branch):
-        """Pop the least live instance off the agenda and return it, as
-        ``(rule, principal)``.  Only a Trans instance (x, y, z) can go stale,
-        when another Trans instance adds xRz first.  Every other instance is
-        pushed once and stays applicable until it is popped: its principal
-        leaves the sequent only as the principal of its own rule."""
-        agenda = br.agenda
-        while agenda:
-            _, _, rule, principal = heappop(agenda)
-            if rule != TRANS or principal[2] not in br.succ[principal[0]]:
-                return rule, principal
-        return None
+        """Pop the least instance off the agenda and return it, as
+        ``(rule, principal)``.  None is stale: a propositional principal
+        leaves only as its own rule's principal, a left-box instance is
+        pushed once, and only (w, x, y) adds wRy (facts (a) and (b))."""
+        return heappop(br.agenda)[2:] if br.agenda else None
 
     def find_rboxlob(self, br: _Branch):
         candidates = [(x, f) for x, f in br.right if isinstance(f, Box)]
@@ -261,9 +254,9 @@ class _Searcher:
         of the items the premise added replaces the whole split, by
         weakening: its other premises are never searched.  Otherwise the
         split uses its principal and what each premise's subtree uses, less
-        what that premise added.  A one-premise step needs no such
-        subtraction: an item leaves a sequent only as the principal of a
-        rule, which has put it in the used set already."""
+        what that premise added: an enclosing premise may have added the
+        same item, when a split in between took it as principal and was then
+        dropped, and that item is no reason to keep the enclosing split."""
         # open splits: (rule, principal, segments above, finished subtrees,
         # their uses, premises left, items each premise added)
         splits: list[tuple] = []
@@ -279,6 +272,9 @@ class _Searcher:
                 self.next_label += 1
                 self.tick()
                 br.add_rel(x, y)
+                for w, succ_w in br.succ.items():
+                    if x in succ_w:
+                        br.push(TRANS, (w, x, y), (w, x, y))
                 br.add(True, (y, f))
                 br.right.discard(rbox)
                 br.add(False, (y, f.sub))

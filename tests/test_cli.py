@@ -64,7 +64,7 @@ def test_prove_rejected_derivation_exit_4(monkeypatch, capsys):
 
 def test_prove_structured_too_deep_exit_2_without_verdict(monkeypatch, tmp_path, capsys):
     def too_deep(d, goal):
-        raise RecursionError("maximum recursion depth exceeded")
+        raise ValueError("derivation deeper than 494 levels")
 
     monkeypatch.setattr(sequent, "derivation_to_json", too_deep)
     out = tmp_path / "proof.json"
@@ -87,6 +87,21 @@ def test_prove_structured_beyond_depth_limit_exit_2_text_exit_0(tmp_path, capsys
     assert main(["prove", formula, "--emit-proof", str(out), "--format", "text"]) == 0
     assert capsys.readouterr().out.startswith("proved: ")
     assert len(out.read_text().splitlines()) == n + 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "graph"])
+def test_prove_writer_recursion_error_is_not_the_structured_limit(fmt, tmp_path, capsys):
+    # a 4-node proof whose label-0 sequent sorts two formulas 2,001 levels deep
+    formula = f"({'Box ' * 2001}p && {'Box ' * 2001}q) --> (r --> r)"
+    assert main(["prove", formula]) == 0
+    capsys.readouterr()
+    out = tmp_path / "proof"
+    assert main(["prove", formula, "--emit-proof", str(out), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input is nested too deeply (recursion limit reached)\n"
+    assert "--format structured" not in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, message", [

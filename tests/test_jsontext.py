@@ -98,7 +98,7 @@ def test_structured_depth_limit():
     for _ in range(494):
         (doc,) = doc["premises"]
     assert doc["rule"] == "Init" and doc["premises"] == []
-    with pytest.raises(RecursionError, match="deeper than 494 levels"):
+    with pytest.raises(ValueError, match="deeper than 494 levels"):
         derivation_to_json(search(beyond).derivation, beyond)
 
 

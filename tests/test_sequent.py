@@ -327,6 +327,20 @@ def test_needed_split_keeps_both_premises():
     assert len(split.premises) == 2
 
 
+def test_split_whose_item_a_dropped_split_took_is_dropped():
+    # the second premise of LImp on 1:a || b --> a || b adds 1:a || b on the
+    # left; LOr takes it and is dropped, and LOr on 1:(a || b) || a || b adds
+    # it again for Init.  The later LOr's premise added it, so it is no reason
+    # to keep the LImp: 19 nodes, 29 if it counted
+    f = parse("Box ((a || b) || (a || b)) && Box Not ((a || b --> a || b) --> p) "
+              "&& Box ((a || b --> a || b) --> p) --> Box False")
+    result = search(f)
+    assert isinstance(result, Proved) and check_derivation(result.derivation, f)
+    nodes = _preorder(result.derivation)
+    assert len(nodes) == 19
+    assert not [node for node in nodes if node.rule == LIMP and node.principal == (1, parse("a || b --> a || b"))]
+
+
 def test_tier_formula_step_count_is_pinned():
     # refuted once its unneeded splits are dropped; exhaustive splitting
     # took 53,414 steps
@@ -336,6 +350,33 @@ def test_tier_formula_step_count_is_pinned():
     assert isinstance(result, Refuted) and len(result.countermodel.frame.worlds) == 4
     with pytest.raises(BudgetExceededError):
         search(f, max_steps=1272)
+
+
+def test_relational_atoms_point_to_the_newest_label(corpus, tier_formulas):
+    """What the agenda's Trans handling rests on: no proof applies Irref,
+    every Trans node adds an atom its conclusion lacks, and every open
+    branch's relation is transitively closed, each atom xRy with x < y."""
+    proofs = trans = branches = 0
+    # the corpus proofs hold only 3 Trans nodes; Box p --> Box^6 p adds 15
+    for f in corpus + tier_formulas + [parse("Box p --> " + "Box " * 6 + "p")]:
+        try:
+            result = search(f, max_steps=6000)
+        except BudgetExceededError:
+            continue
+        if isinstance(result, Proved):
+            proofs += 1
+            for _, node, s in _replay(result.derivation, f):
+                assert node.rule != IRREF, pretty(f)
+                if node.rule == TRANS:
+                    trans += 1
+                    x, _, z = node.principal
+                    assert (x, z) not in s.rel, pretty(f)
+        else:
+            branches += 1
+            rel = result.branch.rel
+            assert all(x < y for x, y in rel), pretty(f)
+            assert all((x, z) in rel for x, y in rel for y2, z in rel if y2 == y), pretty(f)
+    assert proofs >= 50 and trans >= 18 and branches >= 300
 
 
 def _takes_as_principal(node: Derivation) -> set:

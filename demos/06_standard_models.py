@@ -1,10 +1,12 @@
 """The standard-model construction, and comparing the two countermodel routes.
 
 Worlds of the standard model are maximal consistent lists over the target's
-subsentences; consistency of a list is decided by the sequent prover.  The
-truth lemma (membership = forcing) is checked on every world/subformula pair,
-which makes the construction a second, independent refutation oracle.  The
-two routes can be related world-by-world through bisimulation.
+subsentences.  Consistency is decided without the sequent prover, by
+eliminating Hintikka types: the budget counts 2^(atoms + Box subformulas)
+types, and the surviving types are the worlds.  The truth lemma (membership =
+forcing) is checked on every world/subformula pair, which makes the
+construction a second, independent refutation oracle.  The two routes can be
+related world-by-world through bisimulation.
 """
 
 from glprover import (

@@ -4,8 +4,9 @@ Given a modal formula, either produce a machine-checkable derivation in the
 labelled sequent calculus G3KGL, or a finite irreflexive-transitive Kripke
 countermodel validated by an independent semantic evaluator.  The axiomatic
 calculus ships as checkable proof objects, and the standard-model
-construction from maximal consistent lists provides a second, independent
-countermodel route.
+construction from maximal consistent lists, which decides consistency by
+eliminating Hintikka types with no proof search, provides a second,
+independent countermodel route.
 """
 
 from .bisimulation import is_bisimulation, largest_bisimulation

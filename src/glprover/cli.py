@@ -123,8 +123,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_henkin(args) -> int:
     formula = _read_formula(args)
-    outcome = henkin.build_standard_model(formula, max_candidates=args.eval_budget,
-                                          max_steps=args.max_steps)
+    outcome = henkin.build_standard_model(formula, max_candidates=args.eval_budget)
     if outcome is None:
         print(f"theorem: {pretty(formula)} (no standard countermodel)")
         return PROVED
@@ -199,9 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("henkin", help="standard countermodel from maximal consistent lists")
     add_formula_args(p)
     p.add_argument("--eval-budget", type=int, default=henkin.DEFAULT_CANDIDATE_BUDGET,
-                   help="refuse when 2^(number of subformulas) exceeds this ceiling")
-    p.add_argument("--max-steps", type=int, default=sequent.DEFAULT_MAX_STEPS,
-                   help="rule applications allowed to each proof search")
+                   help="refuse when 2^(atoms + Box subformulas), the number of types that "
+                        "elimination decides, exceeds this ceiling")
     p.add_argument("--emit-model", metavar="PATH")
     p.add_argument("--emit-worlds", metavar="PATH", help="write the index-to-list sidecar")
 

@@ -4,14 +4,18 @@ A second, independent refutation route: worlds are repetition-free consistent
 lists that settle every subformula of the target (either it or its negation
 is a member), the accessibility relation transfers boxed members forward and
 demands a fresh boxed witness, and an atom is true at a world exactly when it
-is a member.  Consistency of a list is decided by the sequent prover on the
-negated conjunction of its members.  The construction is verified per
-instance by the truth-lemma check: membership must coincide with forcing.
+is a member.  The construction is verified per instance by the truth-lemma
+check: membership must coincide with forcing.
 
-The worlds are built depth-first, settling subformulas children first.  The
-prover decides only the Box subformulas, each on the list settled so far;
-the constants, the atoms and the Boolean compounds are settled
-propositionally, and an inconsistent prefix is cut with all its extensions.
+Consistency is decided without proof search, by eliminating Hintikka types
+(Pratt, *Models of program logics*, 1979) over the finite standard model for
+GL (Boolos, *The Logic of Provability*, ch. 5).  A type of a formula assigns
+a truth value to each of its atoms and Box subformulas; the Boolean compounds
+follow.  The types that survive elimination are exactly the maximal
+consistent lists, so a formula is a theorem when no survivor falsifies it.
+The types are bit-sliced: bit t of a formula's mask says whether type t makes
+it true, so one pass of the semantic evaluator settles every compound for
+all types at once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from ._jsontext import dumps_indented
 from .errors import BudgetExceededError, InternalCheckError
 from .hilbert import conjlist
 from .semantics import Model, _eval_mask, is_itf, make_model, truth_sets
-from .sequent import DEFAULT_MAX_STEPS, Proved, Refuted, search
 from .syntax import Atom, Box, Formula, Not, sort_key, subformulas, subsentences
 
 DEFAULT_CANDIDATE_BUDGET = 4096
@@ -30,12 +33,57 @@ DEFAULT_CANDIDATE_BUDGET = 4096
 FormulaList = tuple[Formula, ...]
 
 
-def consistent(xs, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    """A list is consistent when the negation of its conjunction is not a
-    theorem; the sequent prover decides theoremhood.  ``max_steps`` bounds
-    that search, here and in every function that decides consistency:
-    BudgetExceededError when it runs out."""
-    return isinstance(search(Not(conjlist(xs)), max_steps), Refuted)
+def _surviving_types(p: Formula, max_candidates: int) -> tuple[dict[Formula, int], int]:
+    """(masks, alive): the mask of each subformula of ``p`` over the types of
+    ``p``, and the mask of the types that survive elimination.
+
+    With a atoms and k Box subformulas there are 2^(a+k) types, and
+    ``max_candidates`` bounds that count: BudgetExceededError beyond it.
+    Type t makes atom i true when bit i of t is set and Box subformula j
+    true when bit a+j is, so the types with box set b are the 2^a bits from
+    bit b*2^a.  Whether a type survives depends only on its box set: b
+    survives when, for each Box B outside b, some surviving type holds each
+    Box C in b and its body C, holds Box B and falsifies B.  Such a witness
+    has strictly more boxes, so one pass from the largest box set down
+    reaches the fixpoint."""
+    subs = subformulas(p)
+    names = sorted((q for q in subs if isinstance(q, Atom)), key=sort_key)
+    boxes = sorted((q for q in subs if isinstance(q, Box)), key=sort_key)
+    k = len(names) + len(boxes)
+    if 2 ** k > max_candidates:
+        raise BudgetExceededError(
+            f"type elimination: 2^{k} types exceed the budget "
+            f"({len(names)} atoms, {len(boxes)} Box subformulas)"
+        )
+    full = (1 << (1 << k)) - 1
+    # variable i is true on the upper 2^i bits of every run of 2^(i+1)
+    masks = {q: full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+             for i, q in enumerate(names + boxes)}
+    # the atom and Box masks are seeded, so the evaluator settles only the
+    # Boolean compounds and never reads the empty predecessor list
+    for q in subs:
+        _eval_mask(q, full, [], {}, 1, masks)
+    block = (1 << (1 << len(names))) - 1
+    alive = full
+    for b in reversed(range(1 << len(boxes))):
+        held = alive
+        for j, box in enumerate(boxes):
+            if b >> j & 1:
+                held &= masks[box] & masks[box.sub]
+        if any(not b >> j & 1 and not held & masks[box] & ~masks[box.sub]
+               for j, box in enumerate(boxes)):
+            alive &= ~(block << (b << len(names)))
+    return masks, alive
+
+
+def consistent(xs, max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> bool:
+    """A list is consistent when some surviving type of the conjunction of
+    its members makes that conjunction true.  ``max_candidates`` bounds the
+    types, here and in every function that decides consistency:
+    BudgetExceededError beyond it."""
+    f = conjlist(xs)
+    masks, alive = _surviving_types(f, max_candidates)
+    return bool(alive & masks[f])
 
 
 def no_repetition(xs) -> bool:
@@ -43,19 +91,20 @@ def no_repetition(xs) -> bool:
     return len(set(xs)) == len(xs)
 
 
-def is_maximal_consistent(p: Formula, xs, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
+def is_maximal_consistent(p: Formula, xs, max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> bool:
     """Consistent, repetition-free, and containing each subformula of ``p``
     or its negation."""
     xs = list(xs)
     if not no_repetition(xs):
         return False
-    if not consistent(xs, max_steps):
+    if not consistent(xs, max_candidates):
         return False
     members = set(xs)
     return all(q in members or Not(q) in members for q in subformulas(p))
 
 
-def extend_maximal_consistent(p: Formula, xs, max_steps: int = DEFAULT_MAX_STEPS) -> FormulaList:
+def extend_maximal_consistent(p: Formula, xs,
+                              max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> FormulaList:
     """Extend a consistent list of subsentences of ``p`` to a maximal
     consistent one, deciding each missing subformula in ascending formula
     order: keep it if that stays consistent, otherwise keep its negation."""
@@ -63,14 +112,14 @@ def extend_maximal_consistent(p: Formula, xs, max_steps: int = DEFAULT_MAX_STEPS
     sub = subsentences(p)
     if any(q not in sub for q in xs):
         raise ValueError("every member must be a subsentence of the target formula")
-    if not consistent(xs, max_steps):
+    if not consistent(xs, max_candidates):
         raise ValueError("the initial list must be consistent")
     out = list(xs)
     members = set(out)
     for q in sorted(subformulas(p), key=sort_key):
         if q in members or Not(q) in members:
             continue
-        if consistent(sorted(members | {q}, key=sort_key), max_steps):
+        if consistent(sorted(members | {q}, key=sort_key), max_candidates):
             out.append(q)
             members.add(q)
         else:
@@ -86,14 +135,14 @@ def _standard_rel_core(w: set[Formula], x: set[Formula]) -> bool:
     return any(isinstance(f, Box) and Not(f) in w for f in x)
 
 
-def gl_standard_rel(p: Formula, w, x, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
+def gl_standard_rel(p: Formula, w, x, max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> bool:
     """Accessibility between maximal consistent lists: boxed members of ``w``
     transfer to ``x`` together with their bodies, and ``x`` owns a boxed
     member whose negation is in ``w``."""
     w, x = list(w), list(x)
     sub = subsentences(p)
     for side in (w, x):
-        if any(q not in sub for q in side) or not is_maximal_consistent(p, side, max_steps):
+        if any(q not in sub for q in side) or not is_maximal_consistent(p, side, max_candidates):
             return False
     return _standard_rel_core(set(w), set(x))
 
@@ -111,75 +160,38 @@ class StandardModel:
     model: Model
 
 
-def _enumerate_worlds(p: Formula, max_candidates: int, max_steps: int) -> list[FormulaList]:
-    """The maximal consistent lists for ``p``, in canonical sort.
-
-    The subformulas are settled depth-first, children before parents, on an
-    explicit stack of branches.  A branch holds the truth value (1 or 0) of
-    each settled subformula: the subformula or its negation is a member.
-    The constants are fixed and the atoms take both values without a
-    search.  A Boolean compound takes the value its settled immediate
-    subformulas give it, since the other value makes the list
-    propositionally inconsistent.  So every branch is consistent up to its
-    next Box subformula, which takes each value whose list so far the prover
-    finds consistent: an inconsistent one is cut with all its extensions,
-    and a consistent list has a consistent value.  A leaf is rebuilt in
-    ``sort_key`` order, each member kept where it first occurs."""
+def _enumerate_worlds(p: Formula, max_candidates: int) -> list[FormulaList]:
+    """The maximal consistent lists for ``p``, in canonical sort: one for
+    each surviving type, its members in ``sort_key`` order, each kept where
+    it first occurs."""
+    masks, alive = _surviving_types(p, max_candidates)
     subs = sorted(subformulas(p), key=sort_key)
-    if 2 ** len(subs) > max_candidates:
-        raise BudgetExceededError(
-            f"standard model construction: 2^{len(subs)} candidate worlds exceed the budget"
-        )
-    order = sorted(subs, key=lambda q: (len(subformulas(q)), sort_key(q)))
     worlds = []
-    stack: list[tuple[int, dict[Formula, int]]] = [(0, {})]
-    while stack:
-        i, value = stack.pop()
-        while i < len(order):
-            q = order[i]
-            i += 1
-            if isinstance(q, Atom):
-                options = [1, 0]
-            elif isinstance(q, Box):
-                members = {g if v else Not(g) for g, v in value.items()}
-                options = [v for v in (1, 0)
-                           if consistent(sorted(members | {q if v else Not(q)}, key=sort_key), max_steps)]
-                if not options:
-                    raise InternalCheckError("a consistent list has no consistent extension")
-            else:
-                # a constant or a Boolean compound: its value in one world
-                # where the settled subformulas have theirs
-                _eval_mask(q, 1, [], {}, 1, value)
-                continue
-            for v in options[1:]:
-                stack.append((i, {**value, q: v}))
-            value[q] = options[0]
-        worlds.append(tuple(dict.fromkeys(q if value[q] else Not(q) for q in subs)))
+    while alive:
+        t = (alive & -alive).bit_length() - 1
+        alive &= alive - 1
+        worlds.append(tuple(dict.fromkeys(q if masks[q] >> t & 1 else Not(q) for q in subs)))
     worlds.sort(key=lambda lst: tuple(sort_key(q) for q in lst))
     return worlds
 
 
 def build_standard_model(
-    p: Formula,
-    max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    p: Formula, max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> tuple[StandardModel, FormulaList] | None:
-    """None when ``p`` is a theorem; otherwise the indexed standard model
-    together with a world list containing Not p, at which ``p`` fails.
+    """None when ``p`` is a theorem, that is, when no maximal consistent
+    list contains Not p; otherwise the indexed standard model together with
+    the first world list containing Not p, at which ``p`` fails.
 
-    ``max_candidates`` bounds 2^|subformulas|, the number of polarity
-    vectors.  The prover decides ``p`` and, for each Box subformula on each
-    branch that reaches it, the consistency of the list settled so far; the
-    other subformulas are settled propositionally (see
-    ``_enumerate_worlds``).  The frame is checked to be
-    irreflexive-transitive and the truth lemma is checked on every (world,
-    subformula) pair before returning; by soundness the latter also
-    certifies that every world is consistent."""
-    if isinstance(search(p, max_steps), Proved):
+    ``max_candidates`` bounds 2^(atoms + Box subformulas), the number of
+    types that elimination decides (see ``_surviving_types``).  The frame is
+    checked to be irreflexive-transitive, the truth lemma is checked on every
+    (world, subformula) pair and ``p`` is checked to fail at the returned
+    world before returning; by soundness the truth lemma also certifies that
+    every world is consistent."""
+    worlds = _enumerate_worlds(p, max_candidates)
+    falsified = next((i for i, w in enumerate(worlds) if Not(p) in w), None)
+    if falsified is None:
         return None
-    worlds = _enumerate_worlds(p, max_candidates, max_steps)
-    if not worlds:
-        raise InternalCheckError("refuted formula produced no maximal consistent lists")
     member_sets = [set(w) for w in worlds]
     rel = {
         (i, j)
@@ -198,12 +210,9 @@ def build_standard_model(
         raise InternalCheckError("standard frame is not irreflexive transitive")
     if not truth_lemma_check(p, sm):
         raise InternalCheckError("truth lemma fails on the standard model")
-    for i, members in enumerate(member_sets):
-        if Not(p) in members:
-            if i in truth_sets(model)(p):
-                raise InternalCheckError("standard model does not falsify the target")
-            return sm, worlds[i]
-    raise InternalCheckError("no world of the standard model contains the negated target")
+    if falsified in truth_sets(model)(p):
+        raise InternalCheckError("standard model does not falsify the target")
+    return sm, worlds[falsified]
 
 
 def truth_lemma_check(p: Formula, sm: StandardModel) -> bool:

@@ -307,10 +307,26 @@ def test_henkin_theorem_exit_0():
     assert main(["henkin", GL_AXIOM]) == 0
 
 
-def test_henkin_step_budget_exit_3(capsys):
-    assert main(["henkin", "Box p --> p", "--max-steps", "1"]) == 3
-    assert capsys.readouterr().err == "budget exceeded: proof search exceeded 1 rule applications\n"
+def test_henkin_max_steps_is_a_usage_error(capsys):
+    # henkin makes no proof search, so it takes no step budget
+    assert main(["henkin", "Box p --> p", "--max-steps", "1"]) == 2
+    assert "unrecognized arguments: --max-steps 1" in capsys.readouterr().err
     assert main(["henkin", "Box p --> p"]) == 1
+
+
+def test_henkin_type_budget_exit_3(capsys):
+    # Box p --> p has 2^2 types: one atom and one Box subformula
+    assert main(["henkin", "Box p --> p", "--eval-budget", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: type elimination: 2^2 types exceed the budget (1 atoms, 1 Box subformulas)\n")
+    assert main(["henkin", "Box p --> p", "--eval-budget", "4"]) == 1
+
+
+def test_henkin_budget_counts_types_not_subformulas():
+    # 14 subformulas but 2^5 types, within the default budget of 2^12
+    assert main(["henkin", DIAMONDS]) == 1
+    # a theorem over 14 atoms: 2^14 types exceed the default budget
+    assert main(["henkin", " && ".join(f"a{i}" for i in range(14)) + " --> a0"]) == 3
 
 
 def test_henkin_oversized_exit_3():

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from glprover import henkin
+from glprover import henkin, sequent
 from glprover.errors import BudgetExceededError, InternalCheckError
+from glprover.hilbert import conjlist
 from glprover.henkin import (
     StandardModel, build_standard_model, consistent, extend_maximal_consistent,
     gl_standard_rel, is_maximal_consistent, truth_lemma_check, world_lists_to_dict,
@@ -137,23 +138,29 @@ def test_candidate_budget():
         build_standard_model(f, max_candidates=8)
 
 
-def test_step_budget_reaches_consistency_searches():
-    # the top-level search refutes Box p --> p in one step; deciding the
-    # consistency of a candidate world takes more than four
-    f = parse("Box p --> p")
-    assert isinstance(search(f, max_steps=4), Refuted)
+def test_candidate_budget_counts_types():
+    # 14 subformulas, but only 2 atoms and 3 Box subformulas: 2^5 types
+    f = parse(DIAMONDS)
+    assert len(subformulas(f)) == 14
+    assert len(build_standard_model(f, max_candidates=32)[0].worlds) == 20
+    with pytest.raises(BudgetExceededError, match=r"2\^5 types exceed the budget \(2 atoms, 3 Box subformulas\)"):
+        build_standard_model(f, max_candidates=31)
+    # a theorem is decided by the same elimination, so the budget binds it too
     with pytest.raises(BudgetExceededError):
-        build_standard_model(f, max_steps=4)
-    assert build_standard_model(f) is not None
+        build_standard_model(parse("Box (Box p --> p) --> Box p"), max_candidates=4)
+    assert build_standard_model(parse("Box (Box p --> p) --> Box p"), max_candidates=8) is None
 
 
-def test_extend_honours_step_budget():
+def test_extend_honours_candidate_budget():
     f = parse("Box p --> p")
     assert extend_maximal_consistent(f, []) == (P, f, Box(P))
     with pytest.raises(BudgetExceededError):
-        extend_maximal_consistent(f, [], max_steps=1)
+        extend_maximal_consistent(f, [], max_candidates=1)
     with pytest.raises(BudgetExceededError):
-        is_maximal_consistent(f, [P, f, Box(P)], max_steps=1)
+        is_maximal_consistent(f, [P, f, Box(P)], max_candidates=2)
+    assert is_maximal_consistent(f, [P, f, Box(P)], max_candidates=4)
+    with pytest.raises(BudgetExceededError):
+        gl_standard_rel(f, [P, f, Box(P)], [P, f, Box(P)], max_candidates=2)
 
 
 def test_world_lists_sidecar():
@@ -164,9 +171,10 @@ def test_world_lists_sidecar():
     assert doc["0"] == ["Not False", "Not Box False"]
 
 
-def reference_enumerate_worlds(p, max_candidates, max_steps):
-    """The brute-force enumerator: one consistency search for each of the
-    2^|sub| polarity vectors, each candidate built in ``sort_key`` order."""
+def reference_enumerate_worlds(p, max_candidates):
+    """The brute-force enumerator: one consistency search by the prover for
+    each of the 2^|sub| polarity vectors, each candidate built in
+    ``sort_key`` order."""
     subs = sorted(subformulas(p), key=sort_key)
     if 2 ** len(subs) > max_candidates:
         raise BudgetExceededError(
@@ -184,7 +192,7 @@ def reference_enumerate_worlds(p, max_candidates, max_steps):
         if key in seen:
             continue
         seen.add(key)
-        if consistent(sorted(candidate, key=sort_key), max_steps):
+        if isinstance(search(Not(conjlist(sorted(candidate, key=sort_key)))), Refuted):
             worlds.append(key)
     worlds.sort(key=lambda lst: tuple(sort_key(q) for q in lst))
     return worlds
@@ -221,29 +229,56 @@ def test_worlds_match_reference_enumerator(corpus, monkeypatch):
             assert world == ref_world, f
 
 
-def test_consistency_searches_only_at_boxes(monkeypatch):
-    calls = []
+def test_elimination_agrees_with_search(corpus, tier_formulas):
+    # at prove-random's step budget the prover decides every formula but
+    # tier30-5#44 and tier40-6#35; neither is a theorem, so elimination
+    # must give each a standard model that falsifies it
+    exhausted = []
+    for f in corpus + tier_formulas:
+        theorem = not consistent([Not(f)], max_candidates=2 ** 13)
+        try:
+            result = search(f, max_steps=6000)
+        except BudgetExceededError:
+            exhausted.append(f)
+            continue
+        assert theorem == isinstance(result, Proved), f
+    assert exhausted == [tier_formulas[60 + 44], tier_formulas[120 + 35]]
+    for f in exhausted:
+        sm, world = build_standard_model(f, max_candidates=2 ** 13)
+        assert not holds(sm.model, f, sm.worlds.index(world))
 
-    def counting_search(f, max_steps):
-        calls.append(f)
-        return search(f, max_steps)
 
-    monkeypatch.setattr(henkin, "search", counting_search)
+def test_no_call_reaches_the_prover(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the standard model construction called the prover")
+
+    monkeypatch.setattr(sequent, "search", no_search)
+    assert not any(value is sequent or getattr(value, "__module__", None) == sequent.__name__
+                   for value in vars(henkin).values())
     f = parse(DIAMONDS)
-    out = build_standard_model(f, max_candidates=2 ** 14)
+    out = build_standard_model(f)
     assert out is not None and len(out[0].worlds) == 20
-    # the theoremhood check and at most two searches per Box reached,
-    # against 2^14 brute-force candidates
-    assert len(calls) == 57
+    sm, world = out
+    assert is_maximal_consistent(f, world)
+    assert set(extend_maximal_consistent(f, [Not(f)])) in [set(w) for w in sm.worlds]
+    assert build_standard_model(parse("Box (Box p --> p) --> Box p")) is None
 
 
-def test_box_with_no_consistent_value_is_an_internal_error(monkeypatch):
-    # the prover refutes Box p --> p, so a list settled up to Box p is
-    # consistent; an engine that finds both values of Box p inconsistent
-    # contradicts itself
-    monkeypatch.setattr(henkin, "consistent", lambda xs, max_steps: False)
+def test_corrupted_survivors_are_an_internal_error(monkeypatch):
+    # Elimination removes the types that hold Box (Box p --> p) and not
+    # Box p; a construction that keeps every type has a world where Box p
+    # is false with no successor that falsifies p, and the truth-lemma
+    # check catches it
+    f = parse("(Box (Box p --> p) --> Box p) && q")
+    survivors = henkin._surviving_types
+    masks, alive = survivors(f, henkin.DEFAULT_CANDIDATE_BUDGET)
+    everything = (1 << (1 << 4)) - 1
+    assert alive != everything
+    assert build_standard_model(f) is not None
+    monkeypatch.setattr(henkin, "_surviving_types",
+                        lambda p, max_candidates: (survivors(p, max_candidates)[0], everything))
     with pytest.raises(InternalCheckError):
-        build_standard_model(parse("Box p --> p"))
+        build_standard_model(f)
 
 
 def test_thousands_of_subformulas_build_without_recursion():

@@ -2,32 +2,64 @@
 
 Sequents carry relational atoms xRy and labelled formulas x:A on both sides;
 world labels are naturals allocated by a counter, the root being 0.  Proof
-search is root-first and deterministic: close the branch when possible, then
-saturate non-branching propositional rules, then branching ones, then the
-transitivity and left-box rules, and finally apply the Loeb right-box rule to
-the best candidate under a fixed ordering heuristic.  A branch that saturates
-without closing yields a finite irreflexive-transitive countermodel, which is
-validated semantically before being returned.
+search is root-first and deterministic, and decides one label at a time
+(the world-local order of Gore's GL tableaux).  At the active label it
+closes the branch when possible, then saturates the non-branching
+propositional rules, then the branching ones, then the transitivity and
+left-box rules.  When none is left, the branch is a saturated local leaf,
+and the Loeb right-box rule takes the leaf's right boxes one at a time, by
+a fixed heuristic.  Each makes a fresh label y, and the search decides y,
+with everything above it, before it goes back to the leaf.  The leaf closes
+as soon as one box's successor closes: its rule tree is that RBoxLob step
+over the successor's tree, and the other right boxes are formulas the tree
+does not use.  The leaf is open when every box has an open successor, and
+then so is its label: the label's world sees the successors' countermodels,
+side by side.  An open root yields a finite irreflexive-transitive
+countermodel, which is validated semantically before being returned.
 
-A branch is its sequent plus one agenda: a heap of the instances of every
-rule but the Loeb right-box rule, ranked by the fixed order and pushed as
-formulas and relational atoms arrive, so selecting the next rule never scans
-the whole sequent or relation.  Selection pops the instance it applies, and
-an instance stays applicable until popped, so a branch keeps no record of
-applied ones: a left-box instance (x, A, y) is pushed once, by whichever of
-xRy and x:Box A arrives second; a propositional principal leaves only as its
-own rule's principal; and a right box the Loeb rule takes never returns, as
-that rule runs on an empty agenda and all it and later rules add lands at
-newer labels.  Two facts keep Trans and Irref out of the rest of the search.
-(a) Every atom a branch gains points to the newest label.  The Loeb rule
-adds xRy with y fresh, and each Trans instance it pushes, (w, x, y) for each
-w that sees x, adds wRy.  y has no successors until a later Loeb step at y,
-which runs only on an empty agenda.  So no atom is reflexive, and nothing
-else follows by transitivity.  (b) Trans instances share a rank and are
-keyed (w, x, y), so they pop least w first.  Any w' that sees w also sees x,
-since the relation was closed when the agenda emptied, and w' < w; so w'Ry
-is present when (w, x, y) is applied.  No instance is pushed twice, and none
-finds its atom already present.
+A branch is the active label's formulas plus one agenda; the older labels
+on its path, which no rule changes, it reads as frozen records, so a split
+copies only the active label's part.  The agenda is a heap of the instances
+of every rule but the Loeb right-box rule, ranked by the fixed order and
+pushed as formulas arrive, so selecting the next rule never scans the
+sequent.  Selection pops the instance it applies, and an
+instance stays applicable until popped, so a branch keeps no record of
+applied ones: a propositional principal leaves only as its own rule's
+principal, and a label's left-box instances are all pushed when its branch
+starts.  Two facts keep Trans and Irref out of the rest of the search.
+(a) Every atom a branch gains points to the active label y.  The Loeb step
+at x starts y's branch with xRy, and each Trans instance on y's agenda,
+(w, x, y) for each w that sees x, adds wRy.  y has no successors until its
+leaf, which is reached only on an empty agenda.  So no atom is reflexive,
+and nothing else follows by transitivity.  (b) Trans instances share a rank
+below LBox and are keyed (w, x, y), so they pop least w first, and all
+before any left-box instance.  Any w' that sees w also sees x, since the
+path's relation is closed, and w' < w; so w'Ry is present when (w, x, y) is
+applied, and wRy when the left-box instance (w, A, y) is.  No instance is
+pushed twice, and none finds its atom already present.
+
+The key K(y) of a new label y is the box x:Box A that made it and the left
+boxes held by x and by every label that sees x.  What the search does above
+y depends on K(y) alone.  y starts with y:Box A on the left and y:A on the
+right, and gains y:B by a left-box step for each of those boxes Box B; its
+successors inherit the same boxes and y's own, and so on up.  No rule adds a
+formula at an older label, and Init, LBot, RTop and the propositional rules
+read the active label only.  So a search keeps one cache of decided keys,
+which lives as long as its ``search`` call, and reuses an entry by weakening
+(below):
+- a closed key keeps its rule tree and the boxes that tree takes as
+  principal at older labels.  It decides every key with the same Loeb box
+  whose boxes include those: when the proof is written, the tree's own
+  labels are renamed from the counter, each left-box step from an older
+  label takes its box from the least label on the new path that holds it,
+  and the new path's Trans steps follow each RBoxLob step;
+- an open key keeps its saturated leaf and its successors' entries.  It
+  decides every key with the same Loeb box whose boxes it holds: the
+  countermodel is copied there with fresh labels.  A world's truth depends
+  only on the worlds it sees, and each copied world holds on the left the
+  body of every box the new path's labels hold, as the original did.
+A leaf whose right box has a closed entry takes that box first, the least
+such, and closes at once; otherwise the heuristic chooses.
 
 The rule sequence is the one the fixed ordering defines, except that a split
 is dropped when one of its premises closes without taking as principal any
@@ -37,9 +69,16 @@ only the formulas it takes as principal, since a rule only asks that its
 principal be present and fresh labels come from one counter.  The split's
 conclusion holds every formula of the premise but those the split added, so
 the subtree derives it as well (weakening), and the verdict is the one full
-splitting would reach.  The search is one loop: the premises of a split
-wait on an explicit stack, so the number of splits on a branch is not
-bounded by the interpreter's recursion limit.
+splitting would reach.  A reused closed tree takes as principal the boxes
+its entry names, at the labels its renaming reads them from.
+
+``max_steps`` bounds the rule applications the search makes, each RBoxLob
+step that reaches a cached key included; then each node written when a
+cached tree is renamed into the proof, and each world copied from a cached
+countermodel.  The search is one loop: split premises and the labels below
+the active one wait on explicit stacks, so neither the number of splits on a
+branch nor the depth of labels is bounded by the interpreter's recursion
+limit.
 
 The search returns a rule tree; the derivation module checks and writes it,
 independently of the search, and its functions are re-exported here.
@@ -103,64 +142,77 @@ _PROP_RULE_OF = {(on_left, kind): rule for rule, (on_left, kinds, _) in _PROP_RU
 # The fixed order of the rules an agenda holds: a branch applies the least
 # instance, and the Loeb right-box rule only when none is left.
 _RANK = {rule: rank for rank, rule in enumerate((INIT, LBOT, RTOP, *_PROP_RULES, TRANS, LBOX))}
-# The side of the one labelled formula x:A that a rule instance takes as
-# principal; Init takes x:A on both sides, Trans relational atoms only.
+# The side of the one labelled formula x:A that an agenda's rule instance
+# takes as principal; Init takes x:A on both sides, Trans relational atoms only.
 _PRINCIPAL_SIDE = ({rule: on_left for rule, (on_left, _, _) in _PROP_RULES.items()}
-                   | {LBOT: True, LBOX: True, RTOP: False, RBOXLOB: False})
+                   | {LBOT: True, LBOX: True, RTOP: False})
 
 
 class _Branch:
-    """Mutable working state of one search branch: its sequent and the
-    ``agenda`` that candidate selection reads instead of scanning the
-    sequent.  No record of applied instances is needed: no instance goes
-    stale, and Trans instances come only from the Loeb step, since every
-    relational atom points to the newest label (module docstring).
+    """Mutable working state of one search branch: the active label's part of
+    its sequent and the ``agenda`` that candidate selection reads instead of
+    scanning the sequent.  No record of applied instances is needed: no
+    instance goes stale, and a Trans step needs no bookkeeping, since every
+    left-box instance it enables is pushed when the branch starts (module
+    docstring).
 
-    - ``succ``: the successors of each label, which hold the relational
-      atoms, and ``boxes``: the left boxed formulas of each label, both as
-      immutable values, so that a copy of the branch shares them;
+    - ``label``: the active label; ``path``: the branches of the older labels
+      that see it, root first, frozen at the leaves that made their
+      successors; ``inherited``: the left boxes those labels hold, which
+      with the Loeb box make the active label's key;
+    - ``boxes``: the left boxed formulas of the active label, as an
+      immutable value, so that a copy of the branch shares it;
+    - ``left``, ``right``: the labelled formulas at the active label;
     - ``agenda``: one heap of the instances of every rule but RBoxLob, as
-      ``(rank, key, rule, principal)``, pushed as formulas and relational
-      atoms arrive.  ``rank`` is the rule's place in the fixed order and
-      ``key`` orders the instances of one rule: the labelled formula's
-      ``(x, sort_key(f))`` for Init and the propositional rules, the label
-      for LBot and RTop, ``(x, y, z)`` for Trans and
+      ``(rank, key, rule, principal)``, pushed as formulas arrive, and for
+      Trans and LBox when the branch starts.  ``rank`` is the rule's place
+      in the fixed order and ``key`` orders the instances of one rule: the
+      labelled formula's ``(x, sort_key(f))`` for Init and the propositional
+      rules, the label for LBot and RTop, ``(x, y, z)`` for Trans and
       ``(x, sort_key(f), y)`` for LBox.
     """
 
-    __slots__ = ("succ", "boxes", "left", "right", "agenda")
+    __slots__ = ("label", "path", "inherited", "boxes", "left", "right", "agenda")
 
     def __init__(self, goal: Formula):
-        self.succ: dict[int, frozenset[int]] = {}
-        self.boxes: dict[int, tuple[Box, ...]] = {}
+        self.label, self.path, self.inherited, self.boxes = 0, (), frozenset(), ()
         self.left, self.right = set(), set()
         self.agenda: list[tuple] = []
         self.add(False, (0, goal))
 
-    @property
-    def rel(self) -> set[RelAtom]:
-        return {(x, y) for x, ys in self.succ.items() for y in ys}
-
     def copy(self) -> "_Branch":
+        """A split's premise: the active label's part is copied, the rest shared."""
         new = object.__new__(_Branch)
-        for name in self.__slots__:
-            value = getattr(self, name)
-            setattr(new, name, type(value)(value))
+        new.label, new.path, new.inherited, new.boxes = self.label, self.path, self.inherited, self.boxes
+        new.left, new.right, new.agenda = set(self.left), set(self.right), list(self.agenda)
+        return new
+
+    def successor(self, f: Box, y: int, inherited: frozenset) -> "_Branch":
+        """The branch of the fresh label y that the Loeb rule makes for this
+        saturated leaf's x:Box A: xRy, y:Box A on the left, y:A on the
+        right, and the instances of Trans steps from each w that sees x and
+        of left-box steps from x and each such w.  ``inherited`` is x's left
+        boxes and those of the labels that see x."""
+        x = self.label
+        new = object.__new__(_Branch)
+        new.label, new.path, new.inherited, new.boxes = y, self.path + (self,), inherited, ()
+        new.left, new.right, new.agenda = set(), set(), []
+        for w in self.path:
+            new.push(TRANS, (w.label, x, y), (w.label, x, y))
+        for w in new.path:
+            for g in w.boxes:
+                new.push(LBOX, (w.label, g.sort_key, y), (w.label, g, y))
+        new.add(True, (y, f))
+        new.add(False, (y, f.sub))
         return new
 
     def push(self, rule: str, key, principal: tuple):
         heappush(self.agenda, (_RANK[rule], key, rule, principal))
 
-    def add_rel(self, x: int, y: int):
-        """Record xRy, which is new, and push its left-box instances: y is
-        the newest label, with no successors, and each w that sees x has its
-        Trans instance from the Loeb step that made y (facts (a) and (b))."""
-        self.succ[x] = self.succ.get(x, frozenset()) | {y}
-        for f in self.boxes.get(x, ()):
-            self.push(LBOX, (x, f.sort_key, y), (x, f, y))
-
     def add(self, on_left: bool, item: LabelledFormula) -> bool:
-        """Add ``item`` to one side; whether it was new there."""
+        """Add ``item`` to one side; whether it was new there.  A left box
+        pushes no left-box instance: the active label has no successors
+        until its leaf, and ``successor`` pushes them there."""
         side, other = (self.left, self.right) if on_left else (self.right, self.left)
         if item in side:
             return False
@@ -172,29 +224,86 @@ class _Branch:
         if rule is not None:
             self.push(rule, _lf_key(item), item)
         elif on_left and isinstance(f, Box):
-            self.boxes[x] = self.boxes.get(x, ()) + (f,)
-            for y in self.succ.get(x, ()):
-                self.push(LBOX, (x, f.sort_key, y), (x, f, y))
+            self.boxes += (f,)
         elif on_left and isinstance(f, Falsum):
             self.push(LBOT, x, item)
         elif not on_left and isinstance(f, Verum):
             self.push(RTOP, x, item)
         return True
 
-    def freeze(self) -> SequentState:
-        return SequentState(frozenset(self.rel), frozenset(self.left), frozenset(self.right))
+
+@dataclass(frozen=True, slots=True)
+class _Closed:
+    """A closed key's entry: the tree above the RBoxLob step that made
+    ``label``, and the left boxes it takes as principal at older labels."""
+
+    label: int
+    tree: Derivation
+    boxes: frozenset[Box]
+
+
+@dataclass(frozen=True, slots=True)
+class _Open:
+    """An open label: its saturated leaf, and per right box the leaf took,
+    ``(new label, entry, reused)`` of the open successor."""
+
+    leaf: _Branch
+    successors: list[tuple[int, "_Open", bool]]
+
+    @property
+    def boxes(self) -> frozenset[Box]:
+        return self.leaf.inherited
+
+
+@dataclass(frozen=True, slots=True)
+class _Reuse:
+    """The premise of an RBoxLob step whose new label's key is closed in the
+    cache, until the proof is written: ``holders`` maps each box the entry
+    takes at older labels to the label on this path it is taken from."""
+
+    entry: _Closed
+    holders: dict[Box, int]
 
 
 class _Searcher:
+    """One search, with its step count, label counter and cache of keys."""
+
     def __init__(self, max_steps: int):
         self.max_steps = max_steps
         self.steps = 0
         self.next_label = 1
+        # the entries of the keys decided, by Loeb box; for this search only
+        self.cache: dict[Box, list[_Closed | _Open]] = {}
+        self.hits = 0
+        self.keys = 0  # keys searched: each is searched once, then found in the cache
 
     def tick(self):
         self.steps += 1
         if self.steps > self.max_steps:
-            raise BudgetExceededError(f"proof search exceeded {self.max_steps} rule applications")
+            raise BudgetExceededError(
+                f"proof search exceeded {self.max_steps} rule applications (labels created: "
+                f"{self.next_label - 1}, cache hits: {self.hits}, distinct label keys: {self.keys})")
+
+    def lookup(self, f: Box, inherited: frozenset) -> "_Closed | _Open | None":
+        """An entry that decides the key ``(f, inherited)``: a closed one
+        whose tree takes no box outside ``inherited``, or an open one whose
+        leaf holds every box of ``inherited`` (weakening, module docstring)."""
+        for entry in self.cache.get(f, ()):
+            if entry.boxes <= inherited if isinstance(entry, _Closed) else inherited <= entry.boxes:
+                return entry
+        return None
+
+    def closing_box(self, br: _Branch, inherited: frozenset):
+        """The least right box of the leaf ``br`` whose successor is closed in
+        the cache, with that entry: it closes the leaf at once."""
+        closing = [(item, entry) for item in br.right if isinstance(item[1], Box)
+                   for entry in [self.lookup(item[1], inherited)] if isinstance(entry, _Closed)]
+        return min(closing, key=lambda c: _lf_key(c[0])) if closing else None
+
+    def fresh(self) -> int:
+        y = self.next_label
+        self.next_label += 1
+        return y
 
     # -- deterministic candidate selection --
 
@@ -206,6 +315,7 @@ class _Searcher:
         return heappop(br.agenda)[2:] if br.agenda else None
 
     def find_rboxlob(self, br: _Branch):
+        """The active label's right box the Loeb rule takes next, if any."""
         candidates = [(x, f) for x, f in br.right if isinstance(f, Box)]
         if not candidates:
             return None
@@ -243,10 +353,11 @@ class _Searcher:
 
     # -- the search loop --
 
-    def expand(self, br: _Branch):
-        """The derivation of ``br``'s sequent, or the first saturated open
-        branch itself.  The premises of a split wait on an explicit stack, so
-        no number of splits is too deep.
+    def expand(self, br: _Branch) -> Derivation | SequentState:
+        """The derivation of ``br``'s sequent, or the open branch the
+        countermodel is read from.  The premises of a split and the labels
+        below the active one wait on explicit stacks, so no number of splits
+        or labels is too deep.
 
         A closed subtree comes with the labelled formulas it takes as
         principal, as ``(on_left, x:A)``; relational atoms are left out,
@@ -256,75 +367,191 @@ class _Searcher:
         split uses its principal and what each premise's subtree uses, less
         what that premise added: an enclosing premise may have added the
         same item, when a split in between took it as principal and was then
-        dropped, and that item is no reason to keep the enclosing split."""
-        # open splits: (rule, principal, segments above, finished subtrees,
-        # their uses, premises left, items each premise added)
+        dropped, and that item is no reason to keep the enclosing split.  A
+        closed label passes down what its tree uses at older labels."""
+        # open splits at the active label: (rule, principal, segments above,
+        # finished subtrees, their uses, premises left, items each premise added)
         splits: list[tuple] = []
         segments: list[tuple[str, tuple]] = []  # one-premise steps since the last split
+        found: list[tuple] = []  # the active leaf's open successors, as in _Open
+        # the labels below the active one: (branch, splits, segments, found,
+        # the right box its leaf took, the label it made)
+        below: list[tuple] = []
         while True:
             selected = self.find_next(br)
-            if selected is None:
+            if selected is None:  # a saturated leaf
                 rbox = self.find_rboxlob(br)
-                if rbox is None:
-                    return br
-                x, f = rbox
-                y = self.next_label
-                self.next_label += 1
-                self.tick()
-                br.add_rel(x, y)
-                for w, succ_w in br.succ.items():
-                    if x in succ_w:
-                        br.push(TRANS, (w, x, y), (w, x, y))
-                br.add(True, (y, f))
-                br.right.discard(rbox)
-                br.add(False, (y, f.sub))
-                segments.append((RBOXLOB, (x, f, y)))
-                continue
-
-            rule, principal = selected
-            self.tick()
-            if rule == TRANS:
-                br.add_rel(principal[0], principal[2])
-            elif rule == LBOX:
-                _, f, y = principal
-                br.add(True, (y, f.sub))
-            elif rule in _PROP_RULES:
-                premises, added = self.apply_prop(br, rule, principal)
-                if added is not None:
-                    splits.append((rule, principal, segments, [], [], premises, added))
-                    br, segments = premises.pop(0), []
+                if rbox is None:  # every right box has an open successor
+                    entry = _Open(br, found)
+                    if not below:
+                        return self._open_branch(entry)
+                    br, splits, segments, found, (_, f), y = below.pop()
+                    self.cache.setdefault(f, []).append(entry)
+                    found.append((y, entry, False))
                     continue
-            else:  # a closed leaf: finish every split whose premises are all closed
+                inherited = br.inherited.union(br.boxes)
+                rbox, entry = self.closing_box(br, inherited) or (rbox, self.lookup(rbox[1], inherited))
+                x, f = rbox
+                br.right.discard(rbox)
+                y = self.fresh()
+                self.tick()
+                if entry is None:
+                    self.keys += 1
+                    below.append((br, splits, segments, found, rbox, y))
+                    br, splits, segments, found = br.successor(f, y, inherited), [], [], []
+                    continue
+                self.hits += 1
+                if isinstance(entry, _Open):
+                    found.append((y, entry, True))
+                    continue
+                chain = br.path + (br,)
+                holders = {g: next(a.label for a in chain if g in a.boxes) for g in entry.boxes}
+                node = Derivation(RBOXLOB, (x, f, y), (_Reuse(entry, holders),))
+                used = {(True, (w, g)) for g, w in holders.items()}
+                used.add((False, rbox))
+            else:
+                rule, principal = selected
+                self.tick()
+                if rule == LBOX:
+                    _, f, y = principal
+                    br.add(True, (y, f.sub))
+                elif rule in _PROP_RULES:
+                    premises, added = self.apply_prop(br, rule, principal)
+                    if added is not None:
+                        splits.append((rule, principal, segments, [], [], premises, added))
+                        br, segments = premises.pop(0), []
+                        continue
+                if rule not in LEAF_RULES:
+                    segments.append(selected)
+                    continue
                 node = Derivation(rule, principal)
                 used = {(True, principal), (False, principal)} if rule == INIT else set()
                 if rule in _PRINCIPAL_SIDE:
                     used.add((_PRINCIPAL_SIDE[rule], principal))
-                while True:
-                    for rule, principal in reversed(segments):
-                        node = Derivation(rule, principal, (node,))
-                        if rule in _PRINCIPAL_SIDE:  # an LBox or RBoxLob principal starts with x:A
-                            used.add((_PRINCIPAL_SIDE[rule], principal[:2]))
-                    if not splits:
-                        return node
-                    rule, principal, segments, subtrees, uses, premises, added = splits[-1]
-                    new = added[len(subtrees)]
-                    if used.isdisjoint(new):  # node derives the split's conclusion
-                        splits.pop()
-                        continue
-                    subtrees.append(node)
-                    used.difference_update(new)
-                    uses.append(used)
-                    if premises:
-                        break
+
+            # a closed leaf: finish every split whose premises are all closed,
+            # and every label whose tree is then finished
+            while True:
+                for rule, principal in reversed(segments):
+                    node = Derivation(rule, principal, (node,))
+                    if rule in _PRINCIPAL_SIDE:  # an LBox principal starts with x:A
+                        used.add((_PRINCIPAL_SIDE[rule], principal[:2]))
+                if not splits:
+                    if not below:
+                        return self._proof(node)
+                    # the label is closed, and so is the leaf that made it
+                    br, splits, segments, found, rbox, y = below.pop()
+                    used = {item for item in used if item[1][0] < y}
+                    entry = _Closed(y, node, frozenset(g for _, (_, g) in used))
+                    self.cache.setdefault(rbox[1], []).append(entry)
+                    node = Derivation(RBOXLOB, (*rbox, y), (node,))
+                    used.add((False, rbox))
+                    continue
+                rule, principal, segments, subtrees, uses, premises, added = splits[-1]
+                new = added[len(subtrees)]
+                if used.isdisjoint(new):  # node derives the split's conclusion
                     splits.pop()
-                    node = Derivation(rule, principal, tuple(subtrees))
-                    smaller, used = sorted(uses, key=len)  # two premises; merged in place
-                    used |= smaller
-                    used.add((_PRINCIPAL_SIDE[rule], principal))
-                # popped, so that a finished premise is freed
-                br, segments = premises.pop(0), []
+                    continue
+                subtrees.append(node)
+                used.difference_update(new)
+                uses.append(used)
+                if premises:
+                    break
+                splits.pop()
+                node = Derivation(rule, principal, tuple(subtrees))
+                smaller, used = sorted(uses, key=len)  # two premises; merged in place
+                used |= smaller
+                used.add((_PRINCIPAL_SIDE[rule], principal))
+            # popped, so that a finished premise is freed
+            br, segments, found = premises.pop(0), [], []
+
+    # -- the certificates, written once the verdict is known --
+
+    def _proof(self, root: Derivation) -> Derivation:
+        """``root`` with each reused closed tree written out at its place:
+        its own labels renamed from the counter, a left-box step from an
+        older label taken from the holder its reuse reported, and the Trans
+        steps of the new path right after each RBoxLob step.  Each node
+        written counts as a step; the searched ones have been counted."""
+        if not self.hits:
+            return root
+        done: list[Derivation] = []
+        # to visit: (node, renaming or None, the labels from the root to the
+        # node's); to build: (None, rule, principal, premises, counted).  A
+        # renaming is (label -> label for the tree's own, box -> holder).
+        todo: list[tuple] = [(root, None, (0,))]
+        while todo:
+            node, *rest = todo.pop()
+            if node is None:
+                rule, principal, n, counted = rest
+                if counted:
+                    self.tick()
+                premises = tuple(done[len(done) - n:])
+                del done[len(done) - n:]
+                done.append(Derivation(rule, principal, premises))
                 continue
-            segments.append(selected)
+            names, path = rest
+            if isinstance(node, _Reuse):
+                entry = node.entry
+                holders = node.holders
+                if names is not None:
+                    labels, outer = names
+                    holders = {g: labels[w] if w in labels else outer[g] for g, w in holders.items()}
+                x, y = path[-2:]
+                todo += [(None, TRANS, (w, x, y), 1, True) for w in path[:-2]]
+                todo.append((entry.tree, ({entry.label: y}, holders), path))
+                continue
+            rule, principal = node.rule, node.principal
+            sub = path
+            if names is None:
+                if rule == RBOXLOB:
+                    sub = path + (principal[2],)
+                todo.append((None, rule, principal, len(node.premises), False))
+            elif rule == TRANS:  # written afresh after each RBoxLob step
+                todo.append((node.premises[0], names, path))
+                continue
+            else:
+                labels, holders = names
+                if rule == RBOXLOB:
+                    x, f, y = principal
+                    labels[y] = z = self.fresh()
+                    sub = path + (z,)
+                    todo.append((None, RBOXLOB, (labels[x], f, z), 1, True))
+                    todo += [(None, TRANS, (w, labels[x], z), 1, True) for w in path[:-1]]
+                else:
+                    if rule == LBOX:
+                        w, f, y = principal
+                        principal = (labels[w] if w in labels else holders[f], f, labels[y])
+                    else:
+                        principal = (labels[principal[0]], *principal[1:])
+                    todo.append((None, rule, principal, len(node.premises), True))
+            todo += [(p, names, sub) for p in reversed(node.premises)]
+        return done[0]
+
+    def _open_branch(self, root: _Open) -> SequentState:
+        """The open branch the countermodel is read from: the root's leaf
+        and, under each leaf, its open successors', each label seen by every
+        label below it.  A reused entry is copied with fresh labels, each
+        copied world a step."""
+        rel, left, right = set(), set(), set()
+        todo = [(root, 0, False, ())]  # (entry, its label, copied, the labels that see it)
+        while todo:
+            entry, x, copied, seers = todo.pop()
+            leaf = entry.leaf
+            if x == leaf.label:
+                left |= leaf.left
+                right |= leaf.right
+            else:
+                left.update((x, f) for _, f in leaf.left)
+                right.update((x, f) for _, f in leaf.right)
+            rel.update((w, x) for w in seers)
+            seers += (x,)
+            for y, child, reused in entry.successors:
+                if copied:
+                    self.tick()
+                    y = self.fresh()
+                todo.append((child, y, copied or reused, seers))
+        return SequentState(frozenset(rel), frozenset(left), frozenset(right))
 
 
 def extract_countermodel(branch: SequentState, root: int) -> tuple[Model, int]:
@@ -353,13 +580,11 @@ def extract_countermodel(branch: SequentState, root: int) -> tuple[Model, int]:
 
 def search(f: Formula, max_steps: int = DEFAULT_MAX_STEPS) -> SearchResult:
     """Decide ``f``: a closed derivation of the sequent ``=> 0:f``, or a
-    validated countermodel from the first saturated open branch."""
-    searcher = _Searcher(max_steps)
-    outcome = searcher.expand(_Branch(f))
+    validated countermodel from the first open root leaf."""
+    outcome = _Searcher(max_steps).expand(_Branch(f))
     if isinstance(outcome, Derivation):
         return Proved(outcome)
-    branch = outcome.freeze()
-    model, world = extract_countermodel(branch, 0)
+    model, world = extract_countermodel(outcome, 0)
     if world in truth_sets(model)(f):
         raise InternalCheckError("extracted model does not falsify the goal at the root")
-    return Refuted(branch, model, world)
+    return Refuted(outcome, model, world)

@@ -545,3 +545,52 @@ def _cli_outputs(seed: str, tmp_path) -> list:
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert _cli_outputs("0", tmp_path) == _cli_outputs("7", tmp_path)
+
+
+# Runs ``prove`` on each formula of a file in one interpreter, after
+# allocating argv[2] objects of assorted sizes, and prints one digest of
+# every exit code, verdict line and certificate.
+_PROVE_ALL = """
+import contextlib, hashlib, io, os, sys
+ballast = [bytearray(k % 97) for k in range(int(sys.argv[2]))]
+from glprover.cli import main
+digest = hashlib.sha256()
+for text in open(sys.argv[1]).read().splitlines():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["prove", text, "--max-steps", "6000", "--format", "structured",
+                     "--emit-proof", "proof", "--emit-countermodel", "model"])
+    digest.update(f"{code} {out.getvalue()}".encode())
+    for name in ("proof", "model"):
+        if os.path.exists(name):
+            digest.update(open(name, "rb").read())
+            os.remove(name)
+print(digest.hexdigest())
+"""
+
+
+def test_certificates_do_not_depend_on_memory_addresses(tmp_path, tier_formulas):
+    # formulas hash by identity, so a set of them iterates in an order that
+    # follows memory addresses: two fresh interpreters with different hash
+    # seeds and different allocations before the run must write the same
+    # certificates for the 180 benchmark formulas
+    (tmp_path / "formulas").write_text("\n".join(pretty(f) for f in tier_formulas))
+    digests = []
+    for seed, ballast in (("1", "0"), ("2", "5003")):
+        run = subprocess.run([sys.executable, "-c", _PROVE_ALL, "formulas", ballast], cwd=tmp_path,
+                             capture_output=True, text=True, env=_module_env(PYTHONHASHSEED=seed), timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]
+
+
+def test_prove_budget_message_says_where_the_steps_went(capsys):
+    # tier30-5#44 of the benchmark is refuted in 1,186 steps
+    f = ("Box Box (Box Box (Box False --> p) || Not Box r <-> Box Not (Box (p || r <-> p) "
+         "<-> Box (False && p) && Box Box (r <-> p)))")
+    assert main(["prove", f, "--max-steps", "1000"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: proof search exceeded 1000 rule applications "
+        "(labels created: 20, cache hits: 9, distinct label keys: 11)\n")
+    assert main(["prove", f, "--max-steps", "1186"]) == 1
+    assert main(["prove", f, "--max-steps", "1185"]) == 3

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_formula
 from glprover.derivation import _replay
 from glprover.errors import BudgetExceededError
+from glprover.henkin import consistent
 from glprover.semantics import Falsified, ValidUpTo, holds, is_itf, oracle_valid
 from glprover.sequent import (
     Derivation, INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR,
@@ -342,14 +343,14 @@ def test_split_whose_item_a_dropped_split_took_is_dropped():
 
 
 def test_tier_formula_step_count_is_pinned():
-    # refuted once its unneeded splits are dropped; exhaustive splitting
-    # took 53,414 steps
+    # refuted by the world-local search with its cache of label keys; the
+    # global Loeb order took 1,273 steps with backjumping and 53,414 without
     f = parse("Box Box ((Box Box (True --> True) || Box (Not r && r)) <-> "
               "Box Not (Box (False <-> (r && q)) <-> Box (True && (p --> r))))")
-    result = search(f, max_steps=1273)
+    result = search(f, max_steps=359)
     assert isinstance(result, Refuted) and len(result.countermodel.frame.worlds) == 4
     with pytest.raises(BudgetExceededError):
-        search(f, max_steps=1272)
+        search(f, max_steps=358)
 
 
 def test_relational_atoms_point_to_the_newest_label(corpus, tier_formulas):
@@ -429,84 +430,107 @@ def _lf_key(item):
 
 class _ScanningSearcher(_Searcher):
     """Reference selectors that scan and sort the whole sequent and relation
-    at every step; the indexed selectors must choose exactly what they do.
-    The reference also keeps the loop check the indexed search does without:
-    each branch records the LBox and RBoxLob instances applied on it, copied
-    at splits, and neither rule is applied twice to one instance there."""
+    of the branch, the active label's part and its frozen older labels', at
+    every step; the indexed selectors must choose exactly what they do.  The
+    Loeb rule chooses among the active label's right boxes only.  The
+    reference also keeps the loop check the indexed search does without:
+    each branch records the Trans and LBox instances applied on it, copied
+    at splits and passed on to a new label's branch, and neither rule is
+    applied twice to one instance there."""
 
     def expand(self, br):
-        self.applied = {br: set()}  # branch -> its applied LBox and RBoxLob instances
+        self.applied = {br: set()}  # branch -> its applied Trans and LBox instances
         return super().expand(br)
 
+    def applied_on(self, br):
+        if br not in self.applied:  # a new label's branch: its parent's leaf is frozen
+            self.applied[br] = set(self.applied[br.path[-1]])
+        return self.applied[br]
+
+    def sequent(self, br):
+        labels = [a.label for a in br.path]
+        rel = {(w, x) for i, w in enumerate(labels) for x in labels[i + 1:]}
+        if labels:
+            rel.add((labels[-1], br.label))
+        rel |= {(w, y) for rule, w, _, y in self.applied_on(br) if rule == TRANS}
+        left, right = set(br.left), set(br.right)
+        for a in br.path:
+            left |= a.left
+            right |= a.right
+        return rel, left, right
+
     def apply_prop(self, br, rule, principal):
+        applied = self.applied_on(br)
         premises, added = super().apply_prop(br, rule, principal)
         for premise in premises[:-1]:  # the last premise is br itself
-            self.applied[premise] = set(self.applied[br])
+            self.applied[premise] = set(applied)
         return premises, added
 
     def find_next(self, br):
-        found = self.find_close(br) or self.find_prop(br)
+        rel, left, right = self.sequent(br)
+        found = self.find_close(rel, left, right) or self.find_prop(left, right)
         if found is not None:
             return found
-        trans = self.find_trans(br)
+        trans = self.find_trans(rel)
         if trans is not None:
+            self.applied_on(br).add((TRANS, *trans))
             return TRANS, trans
-        lbox = self.find_lbox(br)
+        lbox = self.find_lbox(br, rel, left)
         if lbox is None:
             return None
-        self.applied[br].add((LBOX, *lbox))
+        self.applied_on(br).add((LBOX, *lbox))
         return LBOX, lbox
 
-    def find_close(self, br):
-        shared = br.left & br.right
+    def find_close(self, rel, left, right):
+        shared = left & right
         if shared:
             return INIT, min(shared, key=_lf_key)
-        bots = [(x, f) for x, f in br.left if isinstance(f, Falsum)]
+        bots = [(x, f) for x, f in left if isinstance(f, Falsum)]
         if bots:
             return LBOT, min(bots)
-        irrefs = [(x, y) for x, y in br.rel if x == y]
+        irrefs = [(x, y) for x, y in rel if x == y]
         if irrefs:
             return IRREF, (min(irrefs)[0],)
-        tops = [(x, f) for x, f in br.right if isinstance(f, Verum)]
+        tops = [(x, f) for x, f in right if isinstance(f, Verum)]
         if tops:
             return RTOP, min(tops)
         return None
 
-    def find_prop(self, br):
+    def find_prop(self, left, right):
         for rule, side, kinds in (
-            (LAND, br.left, (And, Iff)),
-            (ROR, br.right, (Or,)),
-            (LNOT, br.left, (Not,)),
-            (RNOT, br.right, (Not,)),
-            (RIMP, br.right, (Imp,)),
-            (RAND, br.right, (And, Iff)),
-            (LOR, br.left, (Or,)),
-            (LIMP, br.left, (Imp,)),
+            (LAND, left, (And, Iff)),
+            (ROR, right, (Or,)),
+            (LNOT, left, (Not,)),
+            (RNOT, right, (Not,)),
+            (RIMP, right, (Imp,)),
+            (RAND, right, (And, Iff)),
+            (LOR, left, (Or,)),
+            (LIMP, left, (Imp,)),
         ):
             candidates = [(x, f) for x, f in side if isinstance(f, kinds)]
             if candidates:
                 return rule, min(candidates, key=_lf_key)
         return None
 
-    def find_trans(self, br):
-        rel = sorted(br.rel)
-        for x, y in rel:
-            for y2, z in rel:
-                if y2 == y and (x, z) not in br.rel:
+    def find_trans(self, rel):
+        ordered = sorted(rel)
+        for x, y in ordered:
+            for y2, z in ordered:
+                if y2 == y and (x, z) not in rel:
                     return (x, y, z)
         return None
 
-    def find_lbox(self, br):
-        boxes = sorted(((x, f) for x, f in br.left if isinstance(f, Box)), key=_lf_key)
+    def find_lbox(self, br, rel, left):
+        boxes = sorted(((x, f) for x, f in left if isinstance(f, Box)), key=_lf_key)
         for x, f in boxes:
-            for x2, y in sorted(br.rel):
-                if x2 == x and (LBOX, x, f, y) not in self.applied[br]:
+            for x2, y in sorted(rel):
+                if x2 == x and (LBOX, x, f, y) not in self.applied_on(br):
                     return (x, f, y)
         return None
 
     def find_rboxlob(self, br):
-        applied = self.applied[br]
-        candidates = [(x, f) for x, f in br.right if isinstance(f, Box) and (RBOXLOB, x, f) not in applied]
+        _, _, right = self.sequent(br)
+        candidates = [(x, f) for x, f in right if x == br.label and isinstance(f, Box)]
         if not candidates:
             return None
         bodies = [f.sub for _, f in candidates]
@@ -518,9 +542,7 @@ class _ScanningSearcher(_Searcher):
             occurs = 0 if any(b != body and body in subformulas(b) for b in bodies) else 1
             return (negated, occurs, sort_key(body), x)
 
-        chosen = min(candidates, key=heuristic)
-        applied.add((RBOXLOB, *chosen))
-        return chosen
+        return min(candidates, key=heuristic)
 
 
 def _expand(searcher_class, f, max_steps):
@@ -531,7 +553,7 @@ def _expand(searcher_class, f, max_steps):
         outcome = searcher.expand(_Branch(f))
     except BudgetExceededError:
         return "budget exceeded", searcher.steps
-    return (outcome.freeze() if isinstance(outcome, _Branch) else outcome), searcher.steps
+    return outcome, searcher.steps
 
 
 def test_indexed_selection_matches_scanning_reference(corpus, tier_formulas):
@@ -541,3 +563,55 @@ def test_indexed_selection_matches_scanning_reference(corpus, tier_formulas):
         for f in formulas:
             expected = _expand(_ScanningSearcher, f, max_steps)
             assert _expand(_Searcher, f, max_steps) == expected, pretty(f)
+
+
+class _ForgetfulCache(dict):
+    """A cache of label keys that stores nothing."""
+
+    def setdefault(self, key, default=None):
+        return []
+
+
+class _UncachedSearcher(_Searcher):
+    """The search with every label key searched afresh."""
+
+    def __init__(self, max_steps):
+        super().__init__(max_steps)
+        self.cache = _ForgetfulCache()
+
+
+def _decide(searcher, f) -> bool:
+    """Whether ``searcher`` proves ``f``; its proof must pass the checker and
+    its countermodel must be validated."""
+    outcome = searcher.expand(_Branch(f))
+    if isinstance(outcome, Derivation):
+        assert check_derivation(outcome, f), pretty(f)
+        return True
+    model, world = extract_countermodel(outcome, 0)
+    assert not holds(model, f, world), pretty(f)
+    return False
+
+
+def test_cache_of_label_keys_is_sound(corpus, tier_formulas):
+    # a reused entry gives the verdict that searching its key afresh gives,
+    # and both agree with type elimination
+    formulas = corpus + tier_formulas
+    for seed in range(1, 6):
+        rng = random.Random(seed)
+        formulas += [random_formula(rng, 16, max_modal_depth=5) for _ in range(400)]
+    hits = 0
+    for f in formulas:
+        theorem = not consistent([Not(f)], max_candidates=2 ** 14)
+        searcher, uncached = _Searcher(6000), _UncachedSearcher(10 ** 5)
+        assert _decide(searcher, f) == theorem, pretty(f)
+        assert _decide(uncached, f) == theorem, pretty(f)
+        assert uncached.hits == 0
+        hits += searcher.hits > 0
+    assert hits >= 50
+
+
+def test_cache_decides_tier40_6_35(tier_formulas):
+    f = tier_formulas[120 + 35]
+    searcher, uncached = _Searcher(6000), _UncachedSearcher(10 ** 5)
+    assert not _decide(searcher, f) and searcher.hits > 0
+    assert not _decide(uncached, f) and uncached.steps > 6000

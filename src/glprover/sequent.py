@@ -80,7 +80,8 @@ the active one wait on explicit stacks, so neither the number of splits on a
 branch nor the depth of labels is bounded by the interpreter's recursion
 limit.
 
-The search returns a rule tree; the derivation module checks and writes it,
+The search builds its rule tree as plain tuples and writes the derivation
+once, for a Proved answer; the derivation module checks and writes it,
 independently of the search, and its functions are re-exported here.
 """
 
@@ -232,17 +233,19 @@ class _Branch:
         return True
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Closed:
-    """A closed key's entry: the tree above the RBoxLob step that made
-    ``label``, and the left boxes it takes as principal at older labels."""
+    """A closed key's entry: the rule tree above the RBoxLob step that
+    made ``label``, and the left boxes it takes as principal at older
+    labels.  A rule tree is ``(rule, principal, premises)`` until the
+    proof is written."""
 
     label: int
-    tree: Derivation
+    tree: tuple
     boxes: frozenset[Box]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Open:
     """An open label: its saturated leaf, and per right box the leaf took,
     ``(new label, entry, reused)`` of the open successor."""
@@ -255,11 +258,11 @@ class _Open:
         return self.leaf.inherited
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _Reuse:
     """The premise of an RBoxLob step whose new label's key is closed in the
-    cache, until the proof is written: ``holders`` maps each box the entry
-    takes at older labels to the label on this path it is taken from."""
+    cache, in the rule tree: ``holders`` maps each box the entry takes at
+    older labels to the label on this path it is taken from."""
 
     entry: _Closed
     holders: dict[Box, int]
@@ -406,7 +409,7 @@ class _Searcher:
                     continue
                 chain = br.path + (br,)
                 holders = {g: next(a.label for a in chain if g in a.boxes) for g in entry.boxes}
-                node = Derivation(RBOXLOB, (x, f, y), (_Reuse(entry, holders),))
+                node = (RBOXLOB, (x, f, y), (_Reuse(entry, holders),))
                 used = {(True, (w, g)) for g, w in holders.items()}
                 used.add((False, rbox))
             else:
@@ -424,7 +427,7 @@ class _Searcher:
                 if rule not in LEAF_RULES:
                     segments.append(selected)
                     continue
-                node = Derivation(rule, principal)
+                node = (rule, principal, ())
                 used = {(True, principal), (False, principal)} if rule == INIT else set()
                 if rule in _PRINCIPAL_SIDE:
                     used.add((_PRINCIPAL_SIDE[rule], principal))
@@ -433,7 +436,7 @@ class _Searcher:
             # and every label whose tree is then finished
             while True:
                 for rule, principal in reversed(segments):
-                    node = Derivation(rule, principal, (node,))
+                    node = (rule, principal, (node,))
                     if rule in _PRINCIPAL_SIDE:  # an LBox principal starts with x:A
                         used.add((_PRINCIPAL_SIDE[rule], principal[:2]))
                 if not splits:
@@ -444,7 +447,7 @@ class _Searcher:
                     used = {item for item in used if item[1][0] < y}
                     entry = _Closed(y, node, frozenset(g for _, (_, g) in used))
                     self.cache.setdefault(rbox[1], []).append(entry)
-                    node = Derivation(RBOXLOB, (*rbox, y), (node,))
+                    node = (RBOXLOB, (*rbox, y), (node,))
                     used.add((False, rbox))
                     continue
                 rule, principal, segments, subtrees, uses, premises, added = splits[-1]
@@ -458,7 +461,7 @@ class _Searcher:
                 if premises:
                     break
                 splits.pop()
-                node = Derivation(rule, principal, tuple(subtrees))
+                node = (rule, principal, tuple(subtrees))
                 smaller, used = sorted(uses, key=len)  # two premises; merged in place
                 used |= smaller
                 used.add((_PRINCIPAL_SIDE[rule], principal))
@@ -467,30 +470,32 @@ class _Searcher:
 
     # -- the certificates, written once the verdict is known --
 
-    def _proof(self, root: Derivation) -> Derivation:
-        """``root`` with each reused closed tree written out at its place:
-        its own labels renamed from the counter, a left-box step from an
-        older label taken from the holder its reuse reported, and the Trans
-        steps of the new path right after each RBoxLob step.  Each node
-        written counts as a step; the searched ones have been counted."""
-        if not self.hits:
-            return root
+    def _proof(self, root: tuple) -> Derivation:
+        """The derivation of the rule tree ``root``, built once the search
+        has closed: each reused closed tree is written out at its place, its
+        own labels renamed from the counter, a left-box step from an older
+        label taken from the holder its reuse reported, and the Trans steps
+        of the new path right after each RBoxLob step.  Each node so written
+        counts as a step; the searched ones have been counted."""
         done: list[Derivation] = []
         # to visit: (node, renaming or None, the labels from the root to the
         # node's); to build: (None, rule, principal, premises, counted).  A
         # renaming is (label -> label for the tree's own, box -> holder).
         todo: list[tuple] = [(root, None, (0,))]
         while todo:
-            node, *rest = todo.pop()
-            if node is None:
-                rule, principal, n, counted = rest
+            item = todo.pop()
+            if item[0] is None:
+                _, rule, principal, n, counted = item
                 if counted:
                     self.tick()
-                premises = tuple(done[len(done) - n:])
-                del done[len(done) - n:]
-                done.append(Derivation(rule, principal, premises))
+                if n == 1:
+                    built = (done.pop(),)
+                else:
+                    built = tuple(done[len(done) - n:])
+                    del done[len(done) - n:]
+                done.append(Derivation(rule, principal, built))
                 continue
-            names, path = rest
+            node, names, path = item
             if isinstance(node, _Reuse):
                 entry = node.entry
                 holders = node.holders
@@ -501,14 +506,14 @@ class _Searcher:
                 todo += [(None, TRANS, (w, x, y), 1, True) for w in path[:-2]]
                 todo.append((entry.tree, ({entry.label: y}, holders), path))
                 continue
-            rule, principal = node.rule, node.principal
+            rule, principal, premises = node
             sub = path
             if names is None:
                 if rule == RBOXLOB:
                     sub = path + (principal[2],)
-                todo.append((None, rule, principal, len(node.premises), False))
+                todo.append((None, rule, principal, len(premises), False))
             elif rule == TRANS:  # written afresh after each RBoxLob step
-                todo.append((node.premises[0], names, path))
+                todo.append((premises[0], names, path))
                 continue
             else:
                 labels, holders = names
@@ -524,8 +529,9 @@ class _Searcher:
                         principal = (labels[w] if w in labels else holders[f], f, labels[y])
                     else:
                         principal = (labels[principal[0]], *principal[1:])
-                    todo.append((None, rule, principal, len(node.premises), True))
-            todo += [(p, names, sub) for p in reversed(node.premises)]
+                    todo.append((None, rule, principal, len(premises), True))
+            for p in reversed(premises):
+                todo.append((p, names, sub))
         return done[0]
 
     def _open_branch(self, root: _Open) -> SequentState:

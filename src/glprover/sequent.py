@@ -22,11 +22,10 @@ on its path, which no rule changes, it reads as frozen records, so a split
 copies only the active label's part.  The agenda is a heap of the instances
 of every rule but the Loeb right-box rule, ranked by the fixed order and
 pushed as formulas arrive, so selecting the next rule never scans the
-sequent.  Selection pops the instance it applies, and an
-instance stays applicable until popped, so a branch keeps no record of
-applied ones: a propositional principal leaves only as its own rule's
-principal, and a label's left-box instances are all pushed when its branch
-starts.  Two facts keep Trans and Irref out of the rest of the search.
+sequent.  Selection pops the instance it applies, and an instance stays
+applicable until popped, so a branch keeps no record of applied ones: a
+propositional principal leaves only as its own rule's principal, and a
+label's left-box instances are all pushed when its branch starts.  Two facts keep Trans and Irref out of the rest of the search.
 (a) Every atom a branch gains points to the active label y.  The Loeb step
 at x starts y's branch with xRy, and each Trans instance on y's agenda,
 (w, x, y) for each w that sees x, adds wRy.  y has no successors until its

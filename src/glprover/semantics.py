@@ -3,19 +3,22 @@
 Worlds are small naturals.  A valuation lists, per atom, the worlds where the
 atom is true; every (atom, world) pair not listed is false.  One evaluator,
 `_eval_mask`, computes the worlds where a formula is true as a bitmask, for
-one model or for many valuations of one frame at once (bit ``v*n + w`` is
-world ``w`` under valuation ``v``); `holds`, `truth_sets` and the exhaustive
-checks all use it.  This module also provides the frame-class predicates for
-GL (irreflexive transitive finite, and transitive Noetherian restricted to
-finite frames) and an exhaustive bounded validity oracle, which generates the
-ITF frames directly as strict partial orders and evaluates the valuations of
-each frame in slices.  Bisimulations live in `glprover.bisimulation`.
+one model or for many frames on n worlds under many valuations at once (bit
+``((s*V) + v)*n + w`` is world ``w`` of the frame in slot ``s`` under
+valuation ``v``, with V valuations per frame); `holds`, `truth_sets` and the
+exhaustive checks all use it.  This module also provides the frame-class
+predicates for GL (irreflexive transitive finite, and transitive Noetherian
+restricted to finite frames) and an exhaustive bounded validity oracle,
+which generates the ITF frames directly as strict partial orders and
+evaluates them in batches, up to VALUATION_SLICE frame-valuation pairs per
+evaluator pass.  Bisimulations live in `glprover.bisimulation`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 
 from ._jsontext import dumps_indented, loads
 from .errors import BudgetExceededError
@@ -83,10 +86,15 @@ def _eval_mask(f: Formula, full: int, pred: list[int], val_masks: dict[str, int]
                memo: dict[Formula, int]) -> int:
     """The formula evaluator: the mask of the worlds where ``f`` is true.
 
-    With n worlds, bit ``v*n + w`` is world ``w`` under valuation ``v``;
-    ``unit`` has bit ``v*n`` set for each valuation (``1`` for one model).
-    Box g is false exactly where a successor falsifies g: the failures of g
-    at world k, one bit per valuation, are spread to the predecessors of k.
+    The worlds of n-world models are laid out in blocks of n bits, one block
+    per model: for a batch of frames with V valuations each, bit
+    ``((s*V) + v)*n + w`` is world ``w`` of the frame in slot ``s`` under
+    valuation ``v``.  ``unit`` has the lowest bit of each block set (``1``
+    for one model), and ``pred[k]`` has a bit at every position where the
+    world there sees world k in that block's frame; for one model it is the
+    mask of the predecessors of k.  Box g is false exactly where a successor
+    falsifies g: the blocks where g fails at world k are filled and cut down
+    to the predecessors of k.
     The walk keeps an explicit stack, so no nesting depth is too deep, and
     records every subformula's mask in ``memo``, so a subformula shared in
     the DAG is evaluated once for all the formulas evaluated with one memo."""
@@ -107,9 +115,10 @@ def _eval_mask(f: Formula, full: int, pred: list[int], val_masks: dict[str, int]
             if t is Not:
                 mask = full & ~a
             else:
-                missing, failed = full & ~a, 0
+                missing, failed, n = full & ~a, 0, len(pred)
                 for k, p in enumerate(pred):
-                    failed |= (missing >> k & unit) * p
+                    hit = missing >> k & unit
+                    failed |= ((hit << n) - hit) & p
                 mask = full & ~failed
         elif t is And or t is Or or t is Imp or t is Iff:
             a, b = memo.get(g.left), memo.get(g.right)
@@ -159,32 +168,50 @@ def holds(m: Model, f: Formula, w: int) -> bool:
     return w in truth_sets(m)(f)
 
 
-# Valuations per evaluator pass; the masks have at most VALUATION_SLICE * n bits.
+# Frame-valuation pairs per evaluator pass; the masks have at most
+# VALUATION_SLICE * n bits.
 VALUATION_SLICE = 1 << 10
 
 
-def _first_failure(f: Formula, names: list[str], full: int, pred: list[int]):
-    """The first valuation of ``names`` by index (atom i is true at world w
-    iff bit i*n + w is set) under which ``f`` is false somewhere, and the
-    least such world; None when there is none.  The valuations are evaluated
-    in ascending slices of at most VALUATION_SLICE."""
-    n = len(pred)
+def _first_failure(f: Formula, names: list[str], preds: list[list[int]]):
+    """The first failure of ``f`` on frames on the same n worlds, given as
+    their predecessor lists (``preds[s][k]`` is the mask of the worlds that
+    see world k in frame s): the least frame index s, then the least
+    valuation v of ``names`` by index (atom i is true at world w iff bit
+    i*n + w of v is set) under which ``f`` is false somewhere in frame s, and
+    the least such world w, as (s, v, w); None when there is none.
+
+    One pass evaluates every frame under every valuation, which takes at
+    most VALUATION_SLICE frame-valuation pairs; a single frame with more
+    valuations is evaluated in ascending slices of VALUATION_SLICE."""
+    n = len(preds[0])
     total = 1 << (len(names) * n)
-    # Masks of the first slice, by doubling: bit p of the index is world p % n
-    # of atom p // n.  A later slice adds its index's higher bits at every unit.
+    # Masks of the first slice of one frame, by doubling: bit p of the index
+    # is world p % n of atom p // n.  A later slice adds its index's higher
+    # bits at every unit.
     vals, unit, width = [0] * len(names), 1, n
     for p in range(min(total, VALUATION_SLICE).bit_length() - 1):
         vals = [x | x << width for x in vals]
         vals[p // n] |= unit << (width + p % n)
         unit |= unit << width
         width *= 2
-    ones = (1 << width) - 1
-    for first in range(0, total, width // n):
+    # Frame s takes the width bits from s * width: its predecessor masks
+    # repeat in every block of its slot, and the valuations, by doubling
+    # again, in every slot.
+    pred = [sum(p[k] * unit << (s * width) for s, p in enumerate(preds)) for k in range(n)]
+    ones, span = (1 << (len(preds) * width)) - 1, width
+    while span < len(preds) * width:
+        vals = [x | x << span for x in vals]
+        unit |= unit << span
+        span *= 2
+    vals, unit, full, per = [x & ones for x in vals], unit & ones, (1 << n) - 1, width // n
+    for first in range(0, total, per):
         val_masks = {a: x | unit * (first >> (i * n) & full) for i, (a, x) in enumerate(zip(names, vals))}
         bad = ones & ~_eval_mask(f, ones, pred, val_masks, unit, {})
         if bad:
-            v, w = divmod((bad & -bad).bit_length() - 1, n)
-            return first + v, w
+            block, w = divmod((bad & -bad).bit_length() - 1, n)
+            s, v = divmod(block, per)
+            return s, first + v, w
     return None
 
 
@@ -197,8 +224,8 @@ def frame_valid(fr: Frame, f: Formula, eval_budget: int = DEFAULT_EVAL_BUDGET) -
     n = len(fr.worlds)
     if 2 ** (len(names) * n) * n > eval_budget:
         raise BudgetExceededError(f"frame_valid: 2^({len(names)}*{n}) valuations exceed the budget")
-    _, full, pred, _ = _model_masks(Model(fr))
-    return _first_failure(f, names, full, pred) is None
+    _, _, pred, _ = _model_masks(Model(fr))
+    return _first_failure(f, names, [pred]) is None
 
 
 # ITF clause violations are tuples (clause, worlds...): (0,) for an empty world
@@ -290,38 +317,54 @@ def enumerate_itf_frames(n: int):
     x != y, generated without filtering.
 
     Ascending mask is ascending (succ[n-1], ..., succ[0]), each successor set
-    read as a bitmask.  So the rows step like an odometer, row 0 fastest: a
-    row moves to its next admissible set and the rows below it restart
-    empty, and since an order with its low rows emptied is still an order,
-    every step yields a frame.  Row x admits the sets that avoid x, lie
-    inside succ[a] for each a that sees x, and contain succ[y] for each
-    member y.  The next one after ``row`` keeps the bits of ``row`` above the
-    least bit i it can add, adds i and closes the result, unless the closure
-    adds a bit above i."""
+    read as a bitmask, so the rows nest like loops, row n-1 outermost.  Given
+    the rows above it, row x admits the sets that avoid x, lie inside
+    succ[a] for each a that sees x, and contain succ[y] for each member y;
+    the rows below it are chosen inside the rows that see them, so every
+    choice completes to an order.  A row's pairs are built once per call for
+    each set it takes, and a frame's relation is the pairs of its rows."""
+    if n < 1:
+        return  # an ITF frame has a world
     worlds, full = frozenset(range(n)), (1 << n) - 1
-    succ = [0] * n
-    while True:
-        yield Frame(worlds, frozenset((x, y) for x in range(n) for y in range(n) if succ[x] >> y & 1))
-        for x in range(n):
-            row, succ[x] = succ[x], 0
-            bound = full & ~(1 << x)
-            for a in range(x + 1, n):
-                if succ[a] >> x & 1:
-                    bound &= succ[a]
-            for i in range(n):
-                if bound >> i & 1 and not row >> i & 1:
-                    high = row >> (i + 1) << (i + 1)
-                    closed = high | 1 << i
-                    for y in range(n):  # one pass: higher rows are closed, lower ones empty
-                        if closed >> y & 1:
-                            closed |= succ[y]
-                    if closed >> (i + 1) << (i + 1) == high:
-                        succ[x] = closed
-                        break
-            if succ[x]:
-                break
+    succ, pairs = [0] * n, [{} for _ in range(n)]
+
+    def admissible(x):
+        bound = full & ~(1 << x)
+        for a in range(x + 1, n):
+            if succ[a] >> x & 1:
+                bound &= succ[a]
+        members = [(1 << y, succ[y]) for y in range(x + 1, n) if bound >> y & 1 and succ[y]]
+        sets, sub = [], 0
+        while True:  # the subsets of bound, ascending
+            need = 0
+            for bit, below in members:
+                if sub & bit:
+                    need |= below
+            if not need & ~sub:
+                row = pairs[x].get(sub)
+                if row is None:
+                    row = pairs[x][sub] = tuple((x, y) for y in range(n) if sub >> y & 1)
+                sets.append((sub, row))
+            if sub == bound:
+                return sets
+            sub = (sub - bound) & bound
+
+    high = [()] * (n + 1)  # high[x]: the pairs of the rows from x up
+    rows = [iter(())] * n
+    x = n - 1
+    rows[x] = iter(admissible(x))
+    while x < n:
+        choice = next(rows[x], None)
+        if choice is None:
+            x += 1
+            continue
+        succ[x], row = choice
+        high[x] = high[x + 1] + row
+        if x:
+            x -= 1
+            rows[x] = iter(admissible(x))
         else:
-            return
+            yield Frame(worlds, frozenset(high[0]))
 
 
 def oracle_valid(f: Formula, max_worlds: int, eval_budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
@@ -331,23 +374,39 @@ def oracle_valid(f: Formula, max_worlds: int, eval_budget: int = DEFAULT_EVAL_BU
     ascending), or ValidUpTo(max_worlds).
 
     The budget is checked against 2^(n^2-n) relation masks times 2^(atoms*n)
-    valuations times n worlds, summed over n: an upper bound on the work,
-    since only the ITF frames are generated and the valuations of a frame
-    are evaluated VALUATION_SLICE at a time."""
+    valuations times n worlds, summed over n until the sum passes it: an
+    upper bound on the work, since only the ITF frames are generated.  The
+    frames of each world count are evaluated in batches of 1, 2, 4, ... up
+    to VALUATION_SLICE frame-valuation pairs per pass, so a falsified
+    verdict reads at most about twice the frames it needs."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     names = sorted(atoms(f))
-    cost = sum(2 ** (n * n - n) * 2 ** (len(names) * n) * n for n in range(1, max_worlds + 1))
-    if cost > eval_budget:
-        raise BudgetExceededError(f"oracle_valid: estimated {cost} evaluations exceed the budget")
+    cost = 0
     for n in range(1, max_worlds + 1):
-        for fr in enumerate_itf_frames(n):
-            _, full, pred, _ = _model_masks(Model(fr))
-            failure = _first_failure(f, names, full, pred)
+        cost += 2 ** (n * n - n + len(names) * n) * n
+        if cost > eval_budget:
+            raise BudgetExceededError(
+                f"oracle_valid: estimated evaluations on frames of up to {n} worlds exceed the budget of {eval_budget}")
+    for n in range(1, max_worlds + 1):
+        frames = enumerate_itf_frames(n)
+        most, size = max(1, VALUATION_SLICE >> (len(names) * n)), 1
+        while True:
+            preds = []  # a batch keeps its frames as predecessor masks only
+            for fr in islice(frames, size):
+                pred = [0] * n
+                for x, y in fr.rel:
+                    pred[y] |= 1 << x
+                preds.append(pred)
+            if not preds:
+                break
+            failure = _first_failure(f, names, preds)
             if failure is not None:
-                v, w = failure
-                val = {a: frozenset(x for x in range(n) if v >> (i * n + x) & 1) for i, a in enumerate(names)}
-                return Falsified(make_model(fr.worlds, fr.rel, val), w)
+                s, v, w = failure
+                rel = [(x, y) for y in range(n) for x in range(n) if preds[s][y] >> x & 1]
+                val = {a: [x for x in range(n) if v >> (i * n + x) & 1] for i, a in enumerate(names)}
+                return Falsified(make_model(range(n), rel, val), w)
+            size = min(2 * size, most)
     return ValidUpTo(max_worlds)
 
 

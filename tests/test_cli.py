@@ -290,6 +290,16 @@ def test_oracle_budget_exit_3():
     assert main(["oracle", GL_AXIOM, "--max-worlds", "6"]) == 3
 
 
+def test_oracle_budget_stops_at_the_first_world_count_past_it(capsys):
+    # The estimate for 100000 worlds would have billions of digits; the sum
+    # stops at 5 worlds, where it first passes the default budget.
+    for worlds in ("500", "3000", "100000"):
+        assert main(["oracle", "p", "--max-worlds", worlds]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: oracle_valid: estimated evaluations on frames of up to 5 worlds "
+            "exceed the budget of 100000000\n")
+
+
 def test_henkin_box_false(tmp_path):
     model_out = tmp_path / "m.json"
     worlds_out = tmp_path / "w.json"

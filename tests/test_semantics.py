@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_formula, random_model
 from glprover.bisimulation import is_bisimulation, largest_bisimulation
+from glprover import semantics
 from glprover.errors import BudgetExceededError
 from glprover.semantics import (
     VALUATION_SLICE, Falsified, Frame, Model, UnknownWorldError, ValidUpTo,
@@ -360,10 +362,80 @@ def test_first_failure_in_a_later_slice():
     # only 2 seeing 3, the first failure needs r at world 3, index bit 11.
     f = Or(Imp(Box(Atom("r")), Box(FALSE)), And(Atom("p"), Atom("q")))
     fr = Frame(frozenset(range(4)), frozenset({(2, 3)}))
-    _, full, pred, _ = _model_masks(Model(fr))
+    _, _, pred, _ = _model_masks(Model(fr))
     names = sorted(atoms(f))
     assert 2 ** (len(names) * 4) == 4 * VALUATION_SLICE
-    assert _first_failure(f, names, full, pred) == reference_first_failure(f, names, fr) == (2048, 2)
+    assert reference_first_failure(f, names, fr) == (2048, 2)
+    assert _first_failure(f, names, [pred]) == (0, 2048, 2)
+
+
+def test_batched_evaluation_equals_one_model_at_a_time():
+    # Frames packed into slots, each under its own valuations: block
+    # s*per + v holds frame s under valuation v, n bits per block.
+    rng = random.Random(22)
+    formulas = [random_formula(rng, max_connectives=8, atom_names=("p", "q")) for _ in range(20)]
+    formulas += [LOB, parse("Box p --> Box Box p"), parse("Diam (p && Box q) || Box Box Not q")]
+    for n, slots, per in ((1, 5, 2), (3, 4, 3), (4, 3, 4), (5, 2, 1)):
+        models = []
+        for _ in range(slots):
+            rel = [(x, y) for x in range(n) for y in range(n) if rng.random() < 0.4]
+            models += [make_model(range(n), rel, {a: [w for w in range(n) if rng.random() < 0.5] for a in "pq"})
+                       for _ in range(per)]
+        masks = [_model_masks(m) for m in models]
+        pred = [sum(m_pred[k] << (b * n) for b, (_, _, m_pred, _) in enumerate(masks)) for k in range(n)]
+        val = {a: sum(m_val[a] << (b * n) for b, (_, _, _, m_val) in enumerate(masks)) for a in "pq"}
+        unit = sum(1 << (b * n) for b in range(len(models)))
+        full = (1 << (len(models) * n)) - 1
+        for f in formulas:
+            mask = _eval_mask(f, full, pred, val, unit, {})
+            for b, m in enumerate(models):
+                for w in range(n):
+                    assert bool(mask >> (b * n + w) & 1) == reference_holds(m, f, w), (f, n, b, w)
+
+
+# Theorems, and non-theorems whose first failure lies inside a batch: on 4
+# worlds, frame 66 of the 1-atom batch of 64 from frame 63, frame 29 of the
+# batch of 16 from frame 15, frame 66 of the 2-atom batch of 4 from frame 63,
+# and frame 66 again, the first 4-chain, of the 0-atom batch of 64.
+FOUR_WORLD_FORMULAS = [parse(t) for t in (
+    "Box (Box p --> p) --> Box p",
+    "Box (p --> q) --> (Box p --> Box q)",
+    "Box Box Box Box False",
+    "Diam Diam Diam p --> Box p",
+    "(Diam Diam p && Diam Diam Not p) --> Box Box False",
+    "Diam (p && Diam q) --> Box Box Box False",
+    "Box Box Box Box False --> Box Box Box False",
+)]
+
+
+def test_oracle_equals_reference_at_four_worlds():
+    for f in FOUR_WORLD_FORMULAS:
+        assert oracle_valid(f, 4) == reference_oracle(f, 4), f
+
+
+def test_oracle_draws_its_frames_through_the_module(monkeypatch):
+    # The oracle looks enumerate_itf_frames up on the module when it runs, so
+    # a wrapper installed there sees every frame it reads.
+    counts = Counter()
+
+    def counting(n):
+        for fr in enumerate_itf_frames(n):
+            counts[n] += 1
+            yield fr
+
+    monkeypatch.setattr(semantics, "enumerate_itf_frames", counting)
+    assert oracle_valid(LOB, 4) == ValidUpTo(4)
+    assert [counts[n] for n in range(1, 5)] == [1, 3, 19, 219]
+    for f in FOUR_WORLD_FORMULAS:
+        counts.clear()
+        verdict = oracle_valid(f, 4)
+        if isinstance(verdict, ValidUpTo):
+            assert [counts[n] for n in range(1, 5)] == [1, 3, 19, 219]
+            continue
+        n = len(verdict.model.frame.worlds)
+        below = sum(1 for m in range(1, n) for _ in enumerate_itf_frames(m))
+        upto = [fr.rel for fr in enumerate_itf_frames(n)].index(verdict.model.frame.rel) + 1
+        assert below + upto <= sum(counts.values()) <= 2 * (below + upto), f
 
 
 _ORACLE_PROPERTY = settings(derandomize=True, max_examples=400, deadline=None, database=None)

@@ -61,8 +61,7 @@ def _surviving_types(p: Formula, max_candidates: int) -> tuple[dict[Formula, int
              for i, q in enumerate(names + boxes)}
     # the atom and Box masks are seeded, so the evaluator settles only the
     # Boolean compounds and never reads the empty predecessor list
-    for q in subs:
-        _eval_mask(q, full, [], {}, 1, masks)
+    _eval_mask(p, full, [], {}, 1, masks)
     block = (1 << (1 << len(names))) - 1
     alive = full
     for b in reversed(range(1 << len(boxes))):
@@ -220,6 +219,7 @@ def truth_lemma_check(p: Formula, sm: StandardModel) -> bool:
     subformula of the target, the subformula is a member of the world's list
     iff it holds at the world's index."""
     truth_set = truth_sets(sm.model)
+    truth_set(p)  # one walk; each subformula's truth set is then kept
     member_sets = [set(members) for members in sm.worlds]
     for q in subformulas(p):
         forced = truth_set(q)

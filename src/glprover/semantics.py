@@ -22,7 +22,7 @@ from itertools import islice
 
 from ._jsontext import dumps_indented, loads
 from .errors import BudgetExceededError
-from .syntax import And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, atoms
+from .syntax import And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, atoms, children_first
 
 DEFAULT_EVAL_BUDGET = 10**8
 
@@ -95,47 +95,32 @@ def _eval_mask(f: Formula, full: int, pred: list[int], val_masks: dict[str, int]
     mask of the predecessors of k.  Box g is false exactly where a successor
     falsifies g: the blocks where g fails at world k are filled and cut down
     to the predecessors of k.
-    The walk keeps an explicit stack, so no nesting depth is too deep, and
-    records every subformula's mask in ``memo``, so a subformula shared in
-    the DAG is evaluated once for all the formulas evaluated with one memo."""
-    stack = [f]
-    while stack:
-        g = stack[-1]
+    The walk is one loop over ``f``'s subformulas, children first
+    (``syntax.children_first``); it skips those already in ``memo`` and
+    records every other one's mask there, so a subformula shared in the DAG
+    is evaluated once for all the formulas evaluated with one memo."""
+    for g in children_first(f):
         if g in memo:
-            stack.pop()
             continue
         t = type(g)
         if t is Atom:
             mask = val_masks.get(g.name, 0)
-        elif t is Not or t is Box:
-            a = memo.get(g.sub)
-            if a is None:
-                stack.append(g.sub)
-                continue
-            if t is Not:
-                mask = full & ~a
-            else:
-                missing, failed, n = full & ~a, 0, len(pred)
-                for k, p in enumerate(pred):
-                    hit = missing >> k & unit
-                    failed |= ((hit << n) - hit) & p
-                mask = full & ~failed
-        elif t is And or t is Or or t is Imp or t is Iff:
-            a, b = memo.get(g.left), memo.get(g.right)
-            if a is None or b is None:
-                if a is None:
-                    stack.append(g.left)
-                if b is None:
-                    stack.append(g.right)
-                continue
-            if t is And:
-                mask = a & b
-            elif t is Or:
-                mask = a | b
-            elif t is Imp:
-                mask = (full & ~a) | b
-            else:
-                mask = full & ~(a ^ b)
+        elif t is Not:
+            mask = full & ~memo[g.sub]
+        elif t is Box:
+            missing, failed, n = full & ~memo[g.sub], 0, len(pred)
+            for k, p in enumerate(pred):
+                hit = missing >> k & unit
+                failed |= ((hit << n) - hit) & p
+            mask = full & ~failed
+        elif t is And:
+            mask = memo[g.left] & memo[g.right]
+        elif t is Or:
+            mask = memo[g.left] | memo[g.right]
+        elif t is Imp:
+            mask = (full & ~memo[g.left]) | memo[g.right]
+        elif t is Iff:
+            mask = full & ~(memo[g.left] ^ memo[g.right])
         elif t is Falsum:
             mask = 0
         elif t is Verum:
@@ -143,19 +128,20 @@ def _eval_mask(f: Formula, full: int, pred: list[int], val_masks: dict[str, int]
         else:
             raise TypeError(f"not a formula: {g!r}")
         memo[g] = mask
-        stack.pop()
     return memo[f]
 
 
 def truth_sets(m: Model) -> Callable[[Formula], frozenset[int]]:
     """The evaluator bound to one model, which it converts once: maps a
     formula to the set of worlds of ``m`` where it is true.  Subformula masks
-    are kept for the life of the returned function."""
+    are kept for the life of the returned function, and a formula whose mask
+    is kept is not walked again; so a caller that evaluates many related
+    formulas evaluates their common root first."""
     index, full, pred, val = _model_masks(m)
     memo: dict[Formula, int] = {}
 
     def truth_set(f: Formula) -> frozenset[int]:
-        mask = _eval_mask(f, full, pred, val, 1, memo)
+        mask = memo[f] if f in memo else _eval_mask(f, full, pred, val, 1, memo)
         return frozenset(w for w, i in index.items() if mask >> i & 1)
 
     return truth_set

@@ -86,6 +86,7 @@ independently of the search, and its functions are re-exported here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -98,7 +99,7 @@ from .derivation import (  # noqa: F401 -- re-exported: the CLI reaches them her
 )
 from .errors import BudgetExceededError, InternalCheckError
 from .semantics import Model, is_itf, make_model, truth_sets
-from .syntax import And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, pretty, sort_key, subformulas
+from .syntax import And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, children_first, pretty, sort_key
 
 DEFAULT_MAX_STEPS = 10**6
 
@@ -321,13 +322,15 @@ class _Searcher:
         candidates = [(x, f) for x, f in br.right if isinstance(f, Box)]
         if not candidates:
             return None
-        bodies = [f.sub for _, f in candidates]
+        # the bodies are distinct, so a body occurs in another one exactly
+        # when two bodies' subformulas count it
+        counts = Counter(g for _, f in candidates for g in children_first(f.sub))
 
         def heuristic(item: LabelledFormula) -> tuple:
             x, f = item
             body = f.sub
             negated = 0 if isinstance(body, Not) else 1
-            occurs = 0 if any(b != body and body in subformulas(b) for b in bodies) else 1
+            occurs = 0 if counts[body] > 1 else 1
             return (negated, occurs, sort_key(body), x)
 
         return min(candidates, key=heuristic)

@@ -11,9 +11,11 @@ Formulas are hash-consed (Filliatre & Conchon, *Type-safe modular
 hash-consing*, 2006): a constructor returns the one live node with its
 constructor and children, so structural equality is identity and ``==`` is
 ``is``, and the default identity hash agrees with it.  Each node carries its
-``sort_key``, computed once from its children's, and caches its subformula
-set on first request.  The intern table holds its nodes weakly: a formula
-nobody uses any more leaves it.
+``sort_key``, computed once from its children's, and on first request
+caches its distinct subformulas, children first (``children_first``).  That
+tuple is the one walk over a formula's children: ``subformulas``, ``atoms``,
+``modal_depth`` and the semantic evaluator are loops over it.  The intern
+table holds its nodes weakly: a formula nobody uses any more leaves it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class Formula:
     the interned node.
     """
 
-    __slots__ = ("sort_key", "_subformulas", "__weakref__")
+    __slots__ = ("sort_key", "_children_first", "__weakref__")
     _fields: tuple[str, ...] = ()
     _tag = -1
 
@@ -47,7 +49,7 @@ class Formula:
             for name, value in zip(cls._fields, args):
                 init(node, name, value)
             init(node, "sort_key", (cls._tag, *(a.sort_key if isinstance(a, Formula) else a for a in args)))
-            init(node, "_subformulas", None)
+            init(node, "_children_first", None)
             _INTERN[key] = node
         return node
 
@@ -145,24 +147,38 @@ def sort_key(f: Formula) -> tuple:
     return f.sort_key
 
 
+def _children(g: Formula) -> tuple:
+    """The immediate subterms of ``g``: none for an atom, whose field is its name."""
+    return () if type(g) is Atom else tuple(getattr(g, name) for name in g._fields)
+
+
+def children_first(f: Formula) -> tuple[Formula, ...]:
+    """The distinct subformulas of ``f``, each after its children, ending with
+    ``f``.  Built on first request by a walk with an explicit stack, so no
+    depth is too deep, and cached on the node.  TypeError for a child that
+    is not a formula."""
+    order = getattr(f, "_children_first", None)
+    if order is None:
+        done: dict[Formula, None] = {}  # in the order finished
+        stack = [(f, False)]  # (node, its children finished)
+        while stack:
+            g, expanded = stack.pop()
+            if expanded:
+                done[g] = None
+            elif not isinstance(g, Formula):
+                raise TypeError(f"not a formula: {g!r}")
+            elif g not in done:
+                stack.append((g, True))
+                stack += ((c, False) for c in _children(g))
+        order = tuple(done)
+        object.__setattr__(f, "_children_first", order)
+    return order
+
+
 def subformulas(f: Formula) -> frozenset[Formula]:
     """All subformulas of ``f``: the reflexive-transitive closure of the
     immediate-subterm relation.  ``f`` itself is always a member."""
-    subs = f._subformulas
-    if subs is None:
-        acc: set[Formula] = set()
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if g not in acc:
-                acc.add(g)
-                for name in g._fields:
-                    child = getattr(g, name)
-                    if isinstance(child, Formula):
-                        stack.append(child)
-        subs = frozenset(acc)
-        object.__setattr__(f, "_subformulas", subs)
-    return subs
+    return frozenset(children_first(f))
 
 
 def subsentences(f: Formula) -> frozenset[Formula]:
@@ -173,26 +189,14 @@ def subsentences(f: Formula) -> frozenset[Formula]:
 
 def atoms(f: Formula) -> frozenset[str]:
     """Names of the atoms occurring in ``f``."""
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
+    return frozenset(g.name for g in children_first(f) if type(g) is Atom)
 
 
 def modal_depth(f: Formula) -> int:
-    """Maximum nesting depth of Box in ``f``.  The walk keeps an explicit
-    stack and visits each node of the subformula DAG once."""
+    """Maximum nesting depth of Box in ``f``."""
     depth: dict[Formula, int] = {}
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if g in depth:
-            stack.pop()
-            continue
-        children = [c for c in (getattr(g, name) for name in g._fields) if isinstance(c, Formula)]
-        pending = [c for c in children if c not in depth]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        depth[g] = max((depth[c] for c in children), default=0) + isinstance(g, Box)
+    for g in children_first(f):
+        depth[g] = max((depth[c] for c in _children(g)), default=0) + (type(g) is Box)
     return depth[f]
 
 

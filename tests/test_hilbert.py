@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from glprover.cli import main
 from glprover.hilbert import (
     AXIOM_SCHEMAS, AxiomStep, HilbertProof, MPStep, NecStep,
     axiom_instance_proof, check_proof, check_proof_detailed, conjlist,
@@ -122,6 +123,61 @@ def test_proof_json_roundtrip():
     pf = verum_proof()
     text = proof_to_json(pf)
     assert proof_from_json(text) == pf
+
+
+def _boxed_imp_refl() -> HilbertProof:
+    """A proof of Box (p --> p): p --> p, then one necessitation step."""
+    base = imp_refl_proof(P)
+    return HilbertProof(base.steps + (NecStep(len(base.steps) - 1, Box(Imp(P, P))),))
+
+
+def test_necessitation_step_through_the_file_format(tmp_path, capsys):
+    pf = _boxed_imp_refl()
+    text = proof_to_json(pf)
+    assert json.loads(text)["steps"][-1] == {"kind": "nec", "refs": [len(pf.steps) - 2],
+                                             "formula": "Box (p --> p)"}
+    assert proof_from_json(text) == pf
+    path = tmp_path / "nec.json"
+    path.write_text(text)
+    assert main(["check-proof", str(path)]) == 0
+    assert capsys.readouterr().out == "accepted: Box (p --> p)\n"
+
+
+def test_necessitation_step_not_box_of_its_reference_rejected(tmp_path, capsys):
+    doc = json.loads(proof_to_json(_boxed_imp_refl()))
+    k = len(doc["steps"]) - 1
+    for formula in ("p --> p", "Box p --> Box p", "Box Box (p --> p)"):
+        doc["steps"][k]["formula"] = formula
+        pf = proof_from_json(json.dumps(doc))
+        assert check_proof_detailed(pf) == (
+            None, f"step {k}: stated formula is not Box of step {k - 1}'s formula")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check-proof", str(path)]) == 1
+        assert capsys.readouterr().out.startswith(f"rejected: step {k}:")
+
+
+def test_necessitation_step_with_bad_refs_rejected(tmp_path, capsys):
+    doc = json.loads(proof_to_json(_boxed_imp_refl()))
+    k = len(doc["steps"]) - 1
+    for refs in (None, [], [0, 1], [True], [0.0], ["0"], 0):
+        bad = json.loads(json.dumps(doc))
+        if refs is None:
+            del bad["steps"][k]["refs"]
+        else:
+            bad["steps"][k]["refs"] = refs
+        with pytest.raises(ValueError, match=f"step {k}: nec step needs 'refs' with one index"):
+            proof_from_json(json.dumps(bad))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["check-proof", str(path)]) == 2
+        assert "nec step needs 'refs'" in capsys.readouterr().err
+    for refs in ([k], [k + 1], [-1]):  # well formed, but not an earlier step
+        bad = json.loads(json.dumps(doc))
+        bad["steps"][k]["refs"] = refs
+        conclusion, report = check_proof_detailed(proof_from_json(json.dumps(bad)))
+        assert conclusion is None
+        assert report == f"step {k}: necessitation references {refs[0]}, need an index below {k}"
 
 
 def test_proof_json_malformed():

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from glprover.semantics import Falsified, ValidUpTo, holds, is_itf, oracle_valid
 from glprover.sequent import (
     Derivation, INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR,
     Proved, RAND, RBOXLOB, RIMP, RNOT, ROR, RTOP, Refuted, TRANS, TWO_PREMISE_RULES,
-    _Branch, _Searcher, check_derivation, derivation_error,
+    _Branch, _Reuse, _Searcher, check_derivation, derivation_error,
     derivation_from_json, derivation_to_dot,
     derivation_to_json, derivation_to_text, extract_countermodel, search,
 )
@@ -565,6 +566,27 @@ def test_indexed_selection_matches_scanning_reference(corpus, tier_formulas):
             assert _expand(_Searcher, f, max_steps) == expected, pretty(f)
 
 
+def test_loeb_rule_takes_a_body_inside_another_body_first(corpus):
+    # sort_key puts the And body before Box p, but Box p occurs in it
+    br = _Branch(Box(Box(P)))
+    br.add(False, (0, Box(And(P, Box(P)))))
+    assert _Searcher(1).find_rboxlob(br) == (0, Box(Box(P)))
+    # right boxes whose bodies occur in one another, and the search that
+    # ranks them, against the reference that scans every pair of bodies
+    rng = random.Random(43)
+    formulas = []
+    for _ in range(150):
+        inner = rng.sample(corpus, 3)
+        bodies = inner + [And(inner[0], inner[1]), Or(Box(inner[1]), inner[2]), Not(inner[2])]
+        rng.shuffle(bodies)
+        f = Box(bodies[0])
+        for body in bodies[1:rng.randint(2, len(bodies))]:
+            f = Or(f, Box(body))
+        formulas.append(Imp(Box(rng.choice(corpus)), f) if rng.random() < 0.5 else f)
+    for f in formulas:
+        assert _expand(_Searcher, f, 6000) == _expand(_ScanningSearcher, f, 6000), pretty(f)
+
+
 class _ForgetfulCache(dict):
     """A cache of label keys that stores nothing."""
 
@@ -615,3 +637,55 @@ def test_cache_decides_tier40_6_35(tier_formulas):
     searcher, uncached = _Searcher(6000), _UncachedSearcher(10 ** 5)
     assert not _decide(searcher, f) and searcher.hits > 0
     assert not _decide(uncached, f) and uncached.steps > 6000
+
+
+class _CountingSearcher(_Searcher):
+    """The search, counting how often its certificate writers take two
+    paths of the cache: a reused closed tree that holds a reuse of its own,
+    whose holders ``_proof`` renames through the outer reuse, and a world
+    copied from a reused open entry that has successors, which
+    ``_open_branch`` gives a fresh label."""
+
+    nested_reuses = copied_worlds = 0
+
+    def _proof(self, root):
+        todo = [(root, False)]  # (node, inside a reused tree)
+        while todo:
+            node, inside = todo.pop()
+            if isinstance(node, _Reuse):
+                self.nested_reuses += inside
+                todo.append((node.entry.tree, True))
+            else:
+                todo += [(premise, inside) for premise in node[2]]
+        return super()._proof(root)
+
+    def _open_branch(self, root):
+        first = self.next_label  # only a copied world takes a label here
+        branch = super()._open_branch(root)
+        self.copied_worlds += self.next_label - first
+        return branch
+
+
+@pytest.mark.parametrize("text, proved, counter", [
+    ("Box Not Not (Box ((r --> True <-> r --> Box True) <-> Box q --> True --> p && False) --> Box p)",
+     True, "nested_reuses"),
+    ("(Box Box True || Box (q --> r)) && Box Diam (q <-> False) || Box Box False", False, "copied_worlds"),
+])
+def test_reuse_inside_a_reused_entry(text, proved, counter):
+    f = parse(text)
+    searcher = _CountingSearcher(10**6)
+    assert _decide(searcher, f) is proved
+    assert getattr(searcher, counter) > 0
+    assert _decide(_UncachedSearcher(10**6), f) is proved
+    assert consistent([Not(f)]) is not proved
+
+
+def test_wide_disjunction_of_right_boxes():
+    # the Loeb rule ranks the root leaf's right boxes at each of its 800
+    # steps, so a ranking that compares the boxes pairwise is cubic here
+    f = parse(" || ".join(f"Box a{i}" for i in range(800)))
+    start = time.perf_counter()
+    result = search(f)
+    assert time.perf_counter() - start < 10
+    assert isinstance(result, Refuted)
+    assert len(result.countermodel.frame.worlds) == 801

@@ -9,8 +9,8 @@ import pytest
 from conftest import random_formula
 from glprover import syntax
 from glprover.syntax import (
-    And, Atom, Box, Diam, FALSE, Iff, Imp, Not, Or, ParseError, TRUE,
-    atoms, modal_depth, parse, pretty, sort_key, subformulas, subsentences,
+    And, Atom, Box, Diam, FALSE, Formula, Iff, Imp, Not, Or, ParseError, TRUE,
+    atoms, children_first, modal_depth, parse, pretty, sort_key, subformulas, subsentences,
 )
 
 P, Q = Atom("p"), Atom("q")
@@ -177,6 +177,9 @@ def test_parse_precedence():
     assert parse("True <-> False --> False") == Iff(TRUE, Imp(FALSE, FALSE))
     assert parse("Not p && q") == And(Not(P), Q)
     assert parse("Box p --> p") == Imp(Box(P), P)
+    # "p <-> q <-> r" is an error (test_parse_error_messages_and_positions)
+    assert parse("(p <-> q) <-> r") is Iff(Iff(P, Q), Atom("r"))
+    assert parse("p <-> (q <-> r)") is Iff(P, Iff(Q, Atom("r")))
 
 
 def test_parse_errors_report_position():
@@ -324,6 +327,30 @@ def test_total_order_properties():
             assert f == g
 
 
+def test_children_first_lists_each_subformula_after_its_children():
+    rng = random.Random(41)
+    for _ in range(300):
+        f = random_formula(rng, max_connectives=rng.randint(0, 20))
+        order = children_first(f)
+        assert order is children_first(f)  # cached on the node
+        assert order[-1] is f and len(set(order)) == len(order)
+        assert set(order) == subformulas(f)
+        place = {g: i for i, g in enumerate(order)}
+        for g in order:
+            for name in g._fields:
+                child = getattr(g, name)
+                if isinstance(child, Formula):
+                    assert place[child] < place[g]
+
+
+def test_walk_rejects_a_child_that_is_not_a_formula():
+    for f in (Not(3), And(P, "q"), Box(Not(None))):
+        with pytest.raises(TypeError, match="not a formula"):
+            children_first(f)
+        with pytest.raises(TypeError, match="not a formula"):
+            modal_depth(f)
+
+
 def test_atoms_and_modal_depth():
     f = parse("Box (p <-> Not (Box q)) && Not (Box (Box False))")
     assert atoms(f) == frozenset({"p", "q"})
@@ -346,6 +373,12 @@ def test_copy_and_pickle_return_the_interned_node():
     assert copy.deepcopy(f) is f
     assert pickle.loads(pickle.dumps(f)) is f
     assert pickle.loads(pickle.dumps(FALSE)) is FALSE
+    # also once the node caches its walk, and inside a container
+    assert modal_depth(f) == 2
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy([f, f.left]) == [f, f.left]
+    assert pickle.loads(pickle.dumps((f, Not(f))))[1] is Not(f)
 
 
 def test_formulas_are_immutable():

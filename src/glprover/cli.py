@@ -9,8 +9,9 @@ A structured derivation carries at most ``derivation.STRUCTURED_MAX_DEPTH``
 levels, and a deeper one exits with 2 before its verdict is printed.  So do
 the two interpreter limits left on the prove path, both in comparing the
 nested sort keys of two formulas thousands of levels deep: the proof search
-compares them when they wait for the same rule at one label, and the
-certificate writers when they sort one label's formulas in a proof sequent.
+compares them when they wait for the same rule at one label, and when they
+are left boxes of one label that makes a successor; the certificate writers
+compare them when they sort one label's formulas in a proof sequent.
 A certificate file that cannot be written fails the call before its verdict
 is printed.
 """

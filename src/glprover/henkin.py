@@ -26,7 +26,7 @@ from ._jsontext import dumps_indented
 from .errors import BudgetExceededError, InternalCheckError
 from .hilbert import conjlist
 from .semantics import Model, _eval_mask, is_itf, make_model, truth_sets
-from .syntax import Atom, Box, Formula, Not, sort_key, subformulas, subsentences
+from .syntax import Atom, Box, Formula, Not, pretty, sort_key, subformulas, subsentences
 
 DEFAULT_CANDIDATE_BUDGET = 4096
 
@@ -229,10 +229,10 @@ def truth_lemma_check(p: Formula, sm: StandardModel) -> bool:
 
 
 def world_lists_to_dict(sm: StandardModel) -> dict:
-    """Sidecar document mapping world indices to their formula lists."""
-    from .syntax import pretty
-
-    return {str(i): [pretty(q) for q in lst] for i, lst in enumerate(sm.worlds)}
+    """Sidecar document mapping world indices to their formula lists; the
+    lists share their formulas, so each distinct one is printed once."""
+    texts = {q: pretty(q) for q in {q for lst in sm.worlds for q in lst}}
+    return {str(i): [texts[q] for q in lst] for i, lst in enumerate(sm.worlds)}
 
 
 def world_lists_to_json(sm: StandardModel) -> str:

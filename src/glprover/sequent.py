@@ -19,23 +19,24 @@ countermodel, which is validated semantically before being returned.
 
 A branch is the active label's formulas plus one agenda; the older labels
 on its path, which no rule changes, it reads as frozen records, so a split
-copies only the active label's part.  The agenda is a heap of the instances
-of every rule but the Loeb right-box rule, ranked by the fixed order and
-pushed as formulas arrive, so selecting the next rule never scans the
-sequent.  Selection pops the instance it applies, and an instance stays
-applicable until popped, so a branch keeps no record of applied ones: a
-propositional principal leaves only as its own rule's principal, and a
-label's left-box instances are all pushed when its branch starts.  Two facts keep Trans and Irref out of the rest of the search.
-(a) Every atom a branch gains points to the active label y.  The Loeb step
-at x starts y's branch with xRy, and each Trans instance on y's agenda,
-(w, x, y) for each w that sees x, adds wRy.  y has no successors until its
-leaf, which is reached only on an empty agenda.  So no atom is reflexive,
-and nothing else follows by transitivity.  (b) Trans instances share a rank
-below LBox and are keyed (w, x, y), so they pop least w first, and all
-before any left-box instance.  Any w' that sees w also sees x, since the
-path's relation is closed, and w' < w; so w'Ry is present when (w, x, y) is
-applied, and wRy when the left-box instance (w, A, y) is.  No instance is
-pushed twice, and none finds its atom already present.
+copies only the active label's part.  The agenda is a heap of the active
+label's instances of Init, LBot, RTop and the propositional rules, ranked by
+the fixed order and pushed as formulas arrive, and a sequence of its Trans
+and left-box steps, fixed when its branch starts and read by a cursor; so
+selecting the next rule never scans the sequent.  Selection pops the heap,
+and takes the next step once the heap is empty.  An instance stays
+applicable until taken, so a branch keeps no record of applied ones: a
+propositional principal leaves only as its own rule's principal.  Two facts
+keep Trans and Irref out of the rest of the search.  (a) Every atom a branch
+gains points to the active label y.  The Loeb step at x starts y's branch
+with xRy, and each Trans step (w, x, y), for each w that sees x, adds wRy.
+y has no successors until its leaf, which is reached only once its steps
+are taken.  So no atom is reflexive, and nothing else follows by
+transitivity.  (b) y's sequence holds the Trans steps, least w first, then
+the left-box steps (w, A, y) for each w on the new path, root first, each
+label's boxes in ``sort_key`` order.  Any w' that sees w also sees x, since
+the path's relation is closed, and w' < w; so w'Ry is present when (w, x, y)
+is applied, and wRy when (w, A, y) is.  No step finds its atom present.
 
 The key K(y) of a new label y is the box x:Box A that made it and the left
 boxes held by x and by every label that sees x.  What the search does above
@@ -137,12 +138,13 @@ _PROP_RULES = {
     LOR: (True, (Or,), lambda f: [((True, f.left),), ((True, f.right),)]),
     LIMP: (True, (Imp,), lambda f: [((False, f.left),), ((True, f.right),)]),
 }
-# The propositional rule whose principal is a formula of this type on this side.
-_PROP_RULE_OF = {(on_left, kind): rule for rule, (on_left, kinds, _) in _PROP_RULES.items()
-                 for kind in kinds}
-# The fixed order of the rules an agenda holds: a branch applies the least
-# instance, and the Loeb right-box rule only when none is left.
-_RANK = {rule: rank for rank, rule in enumerate((INIT, LBOT, RTOP, *_PROP_RULES, TRANS, LBOX))}
+# The rule, Init aside, whose principal is a formula of this type on this side.
+_RULE_OF = ({(on_left, kind): rule for rule, (on_left, kinds, _) in _PROP_RULES.items()
+             for kind in kinds} | {(True, Falsum): LBOT, (False, Verum): RTOP})
+# The fixed order of the rules an agenda's heap holds: a branch applies the
+# least instance, then its Trans and left-box steps, and the Loeb right-box
+# rule only when none is left.
+_RANK = {rule: rank for rank, rule in enumerate((INIT, LBOT, RTOP, *_PROP_RULES))}
 # The side of the one labelled formula x:A that an agenda's rule instance
 # takes as principal; Init takes x:A on both sides, Trans relational atoms only.
 _PRINCIPAL_SIDE = ({rule: on_left for rule, (on_left, _, _) in _PROP_RULES.items()}
@@ -151,34 +153,34 @@ _PRINCIPAL_SIDE = ({rule: on_left for rule, (on_left, _, _) in _PROP_RULES.items
 
 class _Branch:
     """Mutable working state of one search branch: the active label's part of
-    its sequent and the ``agenda`` that candidate selection reads instead of
-    scanning the sequent.  No record of applied instances is needed: no
-    instance goes stale, and a Trans step needs no bookkeeping, since every
-    left-box instance it enables is pushed when the branch starts (module
-    docstring).
+    its sequent and the agenda, a heap and a sequence, that candidate
+    selection reads instead of scanning the sequent.  No record of applied instances is needed: no
+    instance goes stale, and a Trans step needs no bookkeeping, since the
+    sequence holds every left-box step it enables (module docstring).
 
     - ``label``: the active label; ``path``: the branches of the older labels
       that see it, root first, frozen at the leaves that made their
       successors; ``inherited``: the left boxes those labels hold, which
       with the Loeb box make the active label's key;
     - ``boxes``: the left boxed formulas of the active label, as an
-      immutable value, so that a copy of the branch shares it;
+      immutable value, so that a copy of the branch shares it; its leaf
+      sorts them by ``sort_key`` when it makes a successor;
     - ``left``, ``right``: the labelled formulas at the active label;
-    - ``agenda``: one heap of the instances of every rule but RBoxLob, as
-      ``(rank, key, rule, principal)``, pushed as formulas arrive, and for
-      Trans and LBox when the branch starts.  ``rank`` is the rule's place
-      in the fixed order and ``key`` orders the instances of one rule: the
-      labelled formula's ``(x, sort_key(f))`` for Init and the propositional
-      rules, the label for LBot and RTop, ``(x, y, z)`` for Trans and
-      ``(x, sort_key(f), y)`` for LBox.
+    - ``agenda``: a heap of the instances of Init, LBot, RTop and the
+      propositional rules, as ``(rank, sort_key(f), rule, x:f)``, pushed as
+      formulas arrive; ``rank`` is the rule's place in the fixed order, and
+      x is the active label;
+    - ``sequence``: the active label's Trans and left-box steps, as
+      ``(rule, principal)`` in the order they apply, fixed when its branch
+      starts, so that a copy shares them; ``cursor``: how many are taken.
     """
 
-    __slots__ = ("label", "path", "inherited", "boxes", "left", "right", "agenda")
+    __slots__ = ("label", "path", "inherited", "boxes", "left", "right", "agenda", "sequence", "cursor")
 
     def __init__(self, goal: Formula):
         self.label, self.path, self.inherited, self.boxes = 0, (), frozenset(), ()
         self.left, self.right = set(), set()
-        self.agenda: list[tuple] = []
+        self.agenda, self.sequence, self.cursor = [], (), 0
         self.add(False, (0, goal))
 
     def copy(self) -> "_Branch":
@@ -186,50 +188,42 @@ class _Branch:
         new = object.__new__(_Branch)
         new.label, new.path, new.inherited, new.boxes = self.label, self.path, self.inherited, self.boxes
         new.left, new.right, new.agenda = set(self.left), set(self.right), list(self.agenda)
+        new.sequence, new.cursor = self.sequence, self.cursor
         return new
 
     def successor(self, f: Box, y: int, inherited: frozenset) -> "_Branch":
         """The branch of the fresh label y that the Loeb rule makes for this
         saturated leaf's x:Box A: xRy, y:Box A on the left, y:A on the
-        right, and the instances of Trans steps from each w that sees x and
-        of left-box steps from x and each such w.  ``inherited`` is x's left
-        boxes and those of the labels that see x."""
+        right, and the steps of Trans from each w that sees x and of
+        left-box from x and each such w, in the order of fact (b).
+        ``inherited`` is x's left boxes and those of the labels that see x."""
         x = self.label
+        self.boxes = tuple(sorted(self.boxes, key=sort_key))
         new = object.__new__(_Branch)
         new.label, new.path, new.inherited, new.boxes = y, self.path + (self,), inherited, ()
-        new.left, new.right, new.agenda = set(), set(), []
-        for w in self.path:
-            new.push(TRANS, (w.label, x, y), (w.label, x, y))
-        for w in new.path:
-            for g in w.boxes:
-                new.push(LBOX, (w.label, g.sort_key, y), (w.label, g, y))
+        new.left, new.right, new.agenda, new.cursor = set(), set(), [], 0
+        new.sequence = (*[(TRANS, (w.label, x, y)) for w in self.path],
+                        *[(LBOX, (w.label, g, y)) for w in new.path for g in w.boxes])
         new.add(True, (y, f))
         new.add(False, (y, f.sub))
         return new
 
-    def push(self, rule: str, key, principal: tuple):
-        heappush(self.agenda, (_RANK[rule], key, rule, principal))
-
     def add(self, on_left: bool, item: LabelledFormula) -> bool:
         """Add ``item`` to one side; whether it was new there.  A left box
-        pushes no left-box instance: the active label has no successors
-        until its leaf, and ``successor`` pushes them there."""
+        starts no left-box step: the active label has no successors until
+        its leaf, and ``successor`` makes them there."""
         side, other = (self.left, self.right) if on_left else (self.right, self.left)
         if item in side:
             return False
         side.add(item)
-        x, f = item
+        f = item[1]
         if item in other:
-            self.push(INIT, _lf_key(item), item)
-        rule = _PROP_RULE_OF.get((on_left, type(f)))
+            heappush(self.agenda, (_RANK[INIT], f.sort_key, INIT, item))
+        rule = _RULE_OF.get((on_left, type(f)))
         if rule is not None:
-            self.push(rule, _lf_key(item), item)
+            heappush(self.agenda, (_RANK[rule], f.sort_key, rule, item))
         elif on_left and isinstance(f, Box):
             self.boxes += (f,)
-        elif on_left and isinstance(f, Falsum):
-            self.push(LBOT, x, item)
-        elif not on_left and isinstance(f, Verum):
-            self.push(RTOP, x, item)
         return True
 
 
@@ -311,11 +305,16 @@ class _Searcher:
     # -- deterministic candidate selection --
 
     def find_next(self, br: _Branch):
-        """Pop the least instance off the agenda and return it, as
-        ``(rule, principal)``.  None is stale: a propositional principal
-        leaves only as its own rule's principal, a left-box instance is
-        pushed once, and only (w, x, y) adds wRy (facts (a) and (b))."""
-        return heappop(br.agenda)[2:] if br.agenda else None
+        """Pop the least instance off the agenda's heap, or else take the
+        next step of its sequence, and return it as ``(rule, principal)``.
+        None is stale: a propositional principal leaves only as its own
+        rule's principal, and only (w, x, y) adds wRy (facts (a) and (b))."""
+        if br.agenda:
+            return heappop(br.agenda)[2:]
+        if br.cursor < len(br.sequence):
+            br.cursor += 1
+            return br.sequence[br.cursor - 1]
+        return None
 
     def find_rboxlob(self, br: _Branch):
         """The active label's right box the Loeb rule takes next, if any."""

@@ -127,10 +127,13 @@ def test_prove_two_deep_formulas_at_one_label_exit_2(capsys):
     assert capsys.readouterr().out.startswith("refuted: ")
     # two deep formulas waiting for RNot at label 0 compare nested sort keys
     deep = "(" + "Not " * 3000 + "p) || (" + "Not " * 3000 + "q)"
-    assert main(["prove", deep]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "nested too deeply" in err
-    assert len(err.splitlines()) == 1
+    # and so do two deep left boxes of label 1, sorted when it makes label 2
+    boxes = "Box (" + "Box " * 1500 + "p && " + "Box " * 1500 + "q) --> Box Box r"
+    for text in (deep, boxes):
+        assert main(["prove", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

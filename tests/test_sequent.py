@@ -273,6 +273,32 @@ def _lob_conj(n: int):
     return parse(f"Box (Box ({c}) --> {c}) --> Box ({c})")
 
 
+def _reflection(k: int):
+    body = " && ".join(f"(Box p{i} || Box Not p{i})" for i in range(1, k + 1))
+    return parse(f"Box ({body}) --> {body}")
+
+
+def _box_p_implies_box(n: int):
+    return parse("Box p --> " + "Box " * n + "p")
+
+
+# the 29 formulas of the benchmark's prove-chains workload, in the order of
+# perfbench/workloads.py; their labels hold many boxes
+PROVE_CHAINS = ([_box_chain(n) for n in range(1, 15)] + [_reflection(k) for k in range(1, 6)]
+                + [_lob_conj(n) for n in range(1, 11)])
+
+
+def test_box_p_implies_long_box_chain_is_proved_quickly():
+    # the labels hold many boxes with long shared Box prefixes, and their
+    # nested keys are compared only when a leaf sorts its boxes for its
+    # successor's left-box steps
+    searcher = _Searcher(10**6)
+    start = time.perf_counter()
+    outcome = searcher.expand(_Branch(_box_p_implies_box(60)))
+    assert time.perf_counter() - start < 3
+    assert isinstance(outcome, Derivation) and searcher.steps == 34459
+
+
 @pytest.mark.parametrize("n, steps", [(12, 377), (14, 575)])
 def test_box_chain_step_count_is_pinned(n, steps):
     # the rule sequence of the search: each figure is the exact number of
@@ -547,19 +573,25 @@ class _ScanningSearcher(_Searcher):
 
 
 def _expand(searcher_class, f, max_steps):
-    """The derivation or the open branch's sequent, and the steps taken; or
-    the steps at which the budget ran out."""
+    """The derivation's nodes in preorder, or the open branch's sequent, and
+    the steps taken; or the steps at which the budget ran out.  The nodes
+    are flat, since comparing deep derivations would recurse."""
     searcher = searcher_class(max_steps)
     try:
         outcome = searcher.expand(_Branch(f))
     except BudgetExceededError:
         return "budget exceeded", searcher.steps
+    if isinstance(outcome, Derivation):
+        outcome = [(node.rule, node.principal, len(node.premises)) for node in _preorder(outcome)]
     return outcome, searcher.steps
 
 
 def test_indexed_selection_matches_scanning_reference(corpus, tier_formulas):
-    extra = [parse(text) for text in PROVED_EXAMPLES + ["Box p --> Box Box Box Box p"]]
-    extra += [_box_chain(6), _lob_conj(3)]
+    extra = [parse(text) for text in PROVED_EXAMPLES]
+    # labels holding many boxes from several older labels, and a split
+    # between two left-box steps of one label's sequence
+    extra += PROVE_CHAINS + [_box_p_implies_box(k) for k in range(1, 13)]
+    extra.append(parse("Box (p || q) && Box r && Box (s || t) --> Box u"))
     for formulas, max_steps in ((corpus + extra, 10**6), (tier_formulas, 6000)):
         for f in formulas:
             expected = _expand(_ScanningSearcher, f, max_steps)

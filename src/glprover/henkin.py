@@ -15,7 +15,8 @@ follow.  The types that survive elimination are exactly the maximal
 consistent lists, so a formula is a theorem when no survivor falsifies it.
 The types are bit-sliced: bit t of a formula's mask says whether type t makes
 it true, so one pass of the semantic evaluator settles every compound for
-all types at once.
+all types at once.  The standard model is read off the elimination: a world
+sees the survivors among which elimination sought its witnesses.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ DEFAULT_CANDIDATE_BUDGET = 4096
 FormulaList = tuple[Formula, ...]
 
 
-def _surviving_types(p: Formula, max_candidates: int) -> tuple[dict[Formula, int], int]:
-    """(masks, alive): the mask of each subformula of ``p`` over the types of
-    ``p``, and the mask of the types that survive elimination.
+def _surviving_types(p: Formula, max_candidates: int) -> tuple[dict[Formula, int], int, dict[int, int]]:
+    """(masks, alive, sees): the mask of each subformula of ``p`` over the
+    types of ``p``, the mask of the types that survive elimination, and the
+    mask of the survivors each surviving type sees.
 
     With a atoms and k Box subformulas there are 2^(a+k) types, and
     ``max_candidates`` bounds that count: BudgetExceededError beyond it.
@@ -45,7 +47,10 @@ def _surviving_types(p: Formula, max_candidates: int) -> tuple[dict[Formula, int
     survives when, for each Box B outside b, some surviving type holds each
     Box C in b and its body C, holds Box B and falsifies B.  Such a witness
     has strictly more boxes, so one pass from the largest box set down
-    reaches the fixpoint."""
+    reaches the fixpoint.  The survivors with more boxes that hold each Box C
+    in b and C, among which b's witnesses were sought, are what b's lists see
+    in the standard relation (``_standard_rel_core``), as a list holds Not B
+    exactly when it lacks B."""
     subs = subformulas(p)
     names = sorted((q for q in subs if isinstance(q, Atom)), key=sort_key)
     boxes = sorted((q for q in subs if isinstance(q, Box)), key=sort_key)
@@ -64,15 +69,19 @@ def _surviving_types(p: Formula, max_candidates: int) -> tuple[dict[Formula, int
     _eval_mask(p, full, [], {}, 1, masks)
     block = (1 << (1 << len(names))) - 1
     alive = full
+    sees = {}
     for b in reversed(range(1 << len(boxes))):
         held = alive
         for j, box in enumerate(boxes):
             if b >> j & 1:
                 held &= masks[box] & masks[box.sub]
+        first = b << len(names)
         if any(not b >> j & 1 and not held & masks[box] & ~masks[box.sub]
                for j, box in enumerate(boxes)):
-            alive &= ~(block << (b << len(names)))
-    return masks, alive
+            alive &= ~(block << first)
+        else:
+            sees.update(dict.fromkeys(range(first, first + (1 << len(names))), held & ~(block << first)))
+    return masks, alive, sees
 
 
 def consistent(xs, max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> bool:
@@ -81,7 +90,7 @@ def consistent(xs, max_candidates: int = DEFAULT_CANDIDATE_BUDGET) -> bool:
     types, here and in every function that decides consistency:
     BudgetExceededError beyond it."""
     f = conjlist(xs)
-    masks, alive = _surviving_types(f, max_candidates)
+    masks, alive, _ = _surviving_types(f, max_candidates)
     return bool(alive & masks[f])
 
 
@@ -159,21 +168,6 @@ class StandardModel:
     model: Model
 
 
-def _enumerate_worlds(p: Formula, max_candidates: int) -> list[FormulaList]:
-    """The maximal consistent lists for ``p``, in canonical sort: one for
-    each surviving type, its members in ``sort_key`` order, each kept where
-    it first occurs."""
-    masks, alive = _surviving_types(p, max_candidates)
-    subs = sorted(subformulas(p), key=sort_key)
-    worlds = []
-    while alive:
-        t = (alive & -alive).bit_length() - 1
-        alive &= alive - 1
-        worlds.append(tuple(dict.fromkeys(q if masks[q] >> t & 1 else Not(q) for q in subs)))
-    worlds.sort(key=lambda lst: tuple(sort_key(q) for q in lst))
-    return worlds
-
-
 def build_standard_model(
     p: Formula, max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> tuple[StandardModel, FormulaList] | None:
@@ -181,37 +175,43 @@ def build_standard_model(
     list contains Not p; otherwise the indexed standard model together with
     the first world list containing Not p, at which ``p`` fails.
 
-    ``max_candidates`` bounds 2^(atoms + Box subformulas), the number of
-    types that elimination decides (see ``_surviving_types``).  The frame is
-    checked to be irreflexive-transitive, the truth lemma is checked on every
-    (world, subformula) pair and ``p`` is checked to fail at the returned
-    world before returning; by soundness the truth lemma also certifies that
-    every world is consistent."""
-    worlds = _enumerate_worlds(p, max_candidates)
-    falsified = next((i for i, w in enumerate(worlds) if Not(p) in w), None)
-    if falsified is None:
+    The worlds are the surviving types, and a world sees the survivors among
+    which elimination sought its witnesses.  ``max_candidates`` bounds
+    2^(atoms + Box subformulas), the number of types that elimination decides
+    (see ``_surviving_types``).  The frame is checked to be
+    irreflexive-transitive, the truth lemma is checked on every (world,
+    subformula) pair and ``p`` is checked to fail at the returned world
+    before returning; by soundness the truth lemma also certifies that every
+    world is consistent."""
+    masks, alive, sees = _surviving_types(p, max_candidates)
+    if not alive & ~masks[p]:
         return None
-    member_sets = [set(w) for w in worlds]
-    rel = {
-        (i, j)
-        for i in range(len(worlds))
-        for j in range(len(worlds))
-        if _standard_rel_core(member_sets[i], member_sets[j])
-    }
-    val = {}
-    for i, members in enumerate(member_sets):
-        for f in members:
-            if isinstance(f, Atom):
-                val.setdefault(f.name, set()).add(i)
-    model = make_model(range(len(worlds)), rel, val)
-    sm = StandardModel(p, tuple(worlds), model)
+    subs = sorted(subformulas(p), key=sort_key)
+    lists = {t: tuple(dict.fromkeys(q if masks[q] >> t & 1 else Not(q) for q in subs))
+             for t in _bits(alive)}
+    types = sorted(lists, key=lambda t: tuple(sort_key(q) for q in lists[t]))
+    falsified = next(i for i, t in enumerate(types) if not masks[p] >> t & 1)
+    index = {t: i for i, t in enumerate(types)}
+    rel = [(index[t], index[u]) for t in types for u in _bits(sees[t])]
+    val = {q.name: [index[t] for t in _bits(masks[q] & alive)]
+           for q in subs if isinstance(q, Atom) and masks[q] & alive}
+    model = make_model(range(len(types)), rel, val)
+    sm = StandardModel(p, tuple(lists[t] for t in types), model)
     if not is_itf(model.frame):
         raise InternalCheckError("standard frame is not irreflexive transitive")
     if not truth_lemma_check(p, sm):
         raise InternalCheckError("truth lemma fails on the standard model")
     if falsified in truth_sets(model)(p):
         raise InternalCheckError("standard model does not falsify the target")
-    return sm, worlds[falsified]
+    return sm, sm.worlds[falsified]
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def truth_lemma_check(p: Formula, sm: StandardModel) -> bool:

@@ -234,10 +234,10 @@ def _itf_violations(fr: Frame):
 
 
 def _transitivity_violations(fr: Frame):
+    succ = {x: set() for x in fr.worlds}
     for x, y in fr.rel:
-        for z in fr.worlds:
-            if (y, z) in fr.rel and (x, z) not in fr.rel:
-                yield (2, x, y, z)
+        succ[x].add(y)
+    return ((2, x, y, z) for x, y in fr.rel for z in succ[y] - succ[x])
 
 
 def is_itf(fr: Frame) -> bool:

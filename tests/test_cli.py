@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +302,25 @@ def test_oracle_budget_stops_at_the_first_world_count_past_it(capsys):
         assert capsys.readouterr().err == (
             "budget exceeded: oracle_valid: estimated evaluations on frames of up to 5 worlds "
             "exceed the budget of 100000000\n")
+
+
+@pytest.mark.parametrize("flag", [
+    ["prove", "--max-steps"],
+    ["oracle", "--max-worlds"],
+    ["oracle", "--max-worlds", "3", "--eval-budget"],
+    ["henkin", "--eval-budget"],
+])
+def test_every_budget_flag_answers_at_once(flag, capsys):
+    # at extreme values every budget is checked before the work it bounds:
+    # an answer within a second, with a contract code, and never a wrong
+    # verdict
+    for text, verdict in ((GL_AXIOM, 0), ("Box p --> p", 1)):
+        for value in ("0", "1", "-1", str(10**9)):
+            start = time.perf_counter()
+            code = main([flag[0], text, *flag[1:], value])
+            assert time.perf_counter() - start < 1, (flag, text, value)
+            assert code in (verdict, 2, 3), (flag, text, value)
+    capsys.readouterr()
 
 
 def test_henkin_box_false(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -213,20 +214,30 @@ BOX_OR_3 = "Box (p || q || r) --> Box p || Box q || Box r"  # 12 subformulas
 DIAMONDS = "Diam p && Diam q --> Diam (p && Diam q)"  # 14 subformulas
 
 
-def test_worlds_match_reference_enumerator(corpus, monkeypatch):
+def test_worlds_match_reference_enumerator(corpus):
+    # the model is read off the elimination; the reference builds it from the
+    # brute-force lists with the list-level relation ``_standard_rel_core``
     targets = [f for f in corpus if len(subformulas(f)) <= 11]
     targets += [parse(text) for text in (*HENKIN_BENCHMARK, BOX_OR_3)]
     assert len(targets) == 169
-    built = [build_standard_model(f) for f in targets]
-    monkeypatch.setattr(henkin, "_enumerate_worlds", reference_enumerate_worlds)
-    for f, out in zip(targets, built):
-        expected = build_standard_model(f)
-        assert (out is None) == (expected is None), f
+    for f in targets:
+        out = build_standard_model(f)
+        ref = reference_enumerate_worlds(f, henkin.DEFAULT_CANDIDATE_BUDGET)
+        ref_world = next((w for w in ref if Not(f) in w), None)
+        assert (out is None) == (ref_world is None), f
         if out is not None:
-            (sm, world), (ref_sm, ref_world) = out, expected
-            assert sm.worlds == ref_sm.worlds, f
-            assert sm.model == ref_sm.model, f
+            sm, world = out
+            assert sm.worlds == tuple(ref), f
             assert world == ref_world, f
+            members = [set(w) for w in ref]
+            rel = {(i, j) for i, w in enumerate(members) for j, x in enumerate(members)
+                   if henkin._standard_rel_core(w, x)}
+            val = {}
+            for i, w in enumerate(members):
+                for q in w:
+                    if isinstance(q, Atom):
+                        val.setdefault(q.name, set()).add(i)
+            assert sm.model == make_model(range(len(ref)), rel, val), f
 
 
 def test_elimination_agrees_with_search(corpus, tier_formulas):
@@ -265,14 +276,31 @@ def test_corrupted_survivors_are_an_internal_error(monkeypatch):
     # check catches it
     f = parse("(Box (Box p --> p) --> Box p) && q")
     survivors = henkin._surviving_types
-    masks, alive = survivors(f, henkin.DEFAULT_CANDIDATE_BUDGET)
+    masks, alive, sees = survivors(f, henkin.DEFAULT_CANDIDATE_BUDGET)
     everything = (1 << (1 << 4)) - 1
     assert alive != everything
+    assert set(sees) != set(range(1 << 4))
     assert build_standard_model(f) is not None
-    monkeypatch.setattr(henkin, "_surviving_types",
-                        lambda p, max_candidates: (survivors(p, max_candidates)[0], everything))
-    with pytest.raises(InternalCheckError):
+
+    def keep_every_type(p, max_candidates):
+        masks, _, sees = survivors(p, max_candidates)
+        return masks, everything, {t: sees.get(t, 0) for t in range(1 << 4)}
+
+    monkeypatch.setattr(henkin, "_surviving_types", keep_every_type)
+    with pytest.raises(InternalCheckError, match="truth lemma"):
         build_standard_model(f)
+
+
+def test_many_surviving_types_build_quickly():
+    # 12 atoms and no box: all 4,096 types survive at the default budget,
+    # and the model is read off them without a scan over world pairs
+    f = parse(" && ".join(f"a{i}" for i in range(11)) + " --> a11")
+    start = time.perf_counter()
+    sm, world = build_standard_model(f)
+    assert time.perf_counter() - start < 10
+    assert len(sm.worlds) == 4096
+    assert sm.model.frame.rel == frozenset()
+    assert not holds(sm.model, f, sm.worlds.index(world))
 
 
 def test_thousands_of_subformulas_build_without_recursion():

@@ -103,6 +103,35 @@ def test_itf_report_messages_and_order():
     assert itf_report(Frame(frozenset(), frozenset())) == ["world set is empty"]
 
 
+def reference_transitivity_violations(fr):
+    """The pair-by-world scan: xRy and yRz without xRz."""
+    return [(2, x, y, z) for x, y in fr.rel for z in fr.worlds
+            if (y, z) in fr.rel and (x, z) not in fr.rel]
+
+
+def test_transitivity_violations_match_the_pair_by_world_scan():
+    rng = random.Random(11)
+    frames = [Frame(frozenset(), frozenset()), Frame(frozenset({4, 9}), frozenset())]
+    for _ in range(300):
+        worlds = rng.sample(range(0, 60, 3), rng.randint(1, 8))  # non-contiguous numbers
+        density = rng.random()
+        rel = {(x, y) for x in worlds for y in worlds if rng.random() < density}
+        if rng.random() < 0.3:  # a cycle through every world
+            rel |= set(zip(worlds, worlds[1:] + worlds[:1]))
+        if rng.random() < 0.3:  # reflexive everywhere
+            rel |= {(x, x) for x in worlds}
+        frames.append(Frame(frozenset(worlds), frozenset(rel)))
+    frames += list(enumerate_itf_frames(4))
+    kinds = Counter()
+    for fr in frames:
+        found = list(semantics._transitivity_violations(fr))
+        expected = reference_transitivity_violations(fr)
+        assert len(found) == len(set(found))
+        assert sorted(found) == sorted(expected), fr
+        kinds[bool(expected)] += 1
+    assert kinds[True] > 100 and kinds[False] > 100
+
+
 def test_is_transnt_finite_examples():
     assert not is_transnt_finite(Frame(frozenset({0}), frozenset({(0, 0)})))
     two_cycle = Frame(frozenset({0, 1}), frozenset({(0, 1), (1, 0), (0, 0), (1, 1)}))

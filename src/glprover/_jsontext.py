@@ -78,3 +78,8 @@ def loads(text: str):
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
+
+
+def is_natural(v) -> bool:
+    """Is the JSON value ``v`` a natural number?"""
+    return type(v) is int and v >= 0  # not a bool, although bool subclasses int

@@ -63,6 +63,16 @@ def _read_formula(args) -> Formula:
     return parse(text)
 
 
+def _read_certificate(path: str, load, what: str):
+    """``load`` applied to the text of the file ``path``; a file that cannot
+    be read or loaded is a usage error, ``cannot read {what}: ...``."""
+    try:
+        with open(path) as fh:
+            return load(fh.read())
+    except (OSError, ValueError, ParseError) as exc:
+        raise _UsageError(f"cannot read {what}: {exc}") from None
+
+
 def cmd_prove(args) -> int:
     formula = _read_formula(args)
     result = sequent.search(formula, max_steps=args.max_steps)
@@ -88,11 +98,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_check_model(args) -> int:
-    try:
-        with open(args.model) as fh:
-            model, _ = semantics.model_from_json(fh.read())
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot read model: {exc}")
+    model, _ = _read_certificate(args.model, semantics.model_from_json, "model")
     formula = parse(args.formula)
     if args.world not in model.frame.worlds:
         return _fail(f"world {args.world} is not in the model")
@@ -138,25 +144,15 @@ def cmd_henkin(args) -> int:
 
 
 def cmd_bisim(args) -> int:
-    models = []
-    for path in (args.model_a, args.model_b):
-        try:
-            with open(path) as fh:
-                model, _ = semantics.model_from_json(fh.read())
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot read model {path}: {exc}")
-        models.append(model)
+    models = [_read_certificate(path, semantics.model_from_json, f"model {path}")[0]
+              for path in (args.model_a, args.model_b)]
     pairs = bisimulation.largest_bisimulation(models[0], models[1])
     print(json.dumps(sorted([x, y] for x, y in pairs)))
     return PROVED
 
 
 def cmd_check_proof(args) -> int:
-    try:
-        with open(args.proof) as fh:
-            proof = hilbert.proof_from_json(fh.read())
-    except (OSError, ValueError, ParseError) as exc:
-        return _fail(f"cannot read proof: {exc}")
+    proof = _read_certificate(args.proof, hilbert.proof_from_json, "proof")
     conclusion, report = hilbert.check_proof_detailed(proof)
     if conclusion is not None:
         print(f"accepted: {pretty(conclusion)}")

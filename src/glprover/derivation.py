@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ._jsontext import dumps_indented, loads
+from ._jsontext import dumps_indented, is_natural, loads
 from .syntax import And, Box, Falsum, Formula, Iff, Imp, Not, Or, ParseError, Verum, parse, pretty, sort_key
 
 # Rule identifiers.  Leaves: Init, LBot, Irref, plus RTop (a sequent with x:True
@@ -58,15 +58,8 @@ class SequentState:
     right: frozenset[LabelledFormula]
 
     def labels(self) -> frozenset[int]:
-        out = set()
-        for x, y in self.rel:
-            out.add(x)
-            out.add(y)
-        for x, _ in self.left:
-            out.add(x)
-        for x, _ in self.right:
-            out.add(x)
-        return frozenset(out)
+        return frozenset({x for pair in self.rel for x in pair}
+                         | {x for x, _ in self.left} | {x for x, _ in self.right})
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,7 +213,7 @@ def _principal_to_list(principal: tuple, texts: _Texts) -> list:
 
 
 def _label(v) -> int:
-    if type(v) is not int or v < 0:
+    if not is_natural(v):
         raise ValueError(f"label {v!r} is not a natural")
     return v
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from ._jsontext import dumps_indented
 from .errors import BudgetExceededError, InternalCheckError
 from .hilbert import conjlist
-from .semantics import Model, _eval_mask, is_itf, make_model, truth_sets
+from .semantics import Model, _eval_mask, _truth_masks, is_itf, make_model
 from .syntax import Atom, Box, Formula, Not, pretty, sort_key, subformulas, subsentences
 
 DEFAULT_CANDIDATE_BUDGET = 4096
@@ -103,9 +103,7 @@ def is_maximal_consistent(p: Formula, xs, max_candidates: int = DEFAULT_CANDIDAT
     """Consistent, repetition-free, and containing each subformula of ``p``
     or its negation."""
     xs = list(xs)
-    if not no_repetition(xs):
-        return False
-    if not consistent(xs, max_candidates):
+    if not no_repetition(xs) or not consistent(xs, max_candidates):
         return False
     members = set(xs)
     return all(q in members or Not(q) in members for q in subformulas(p))
@@ -127,12 +125,9 @@ def extend_maximal_consistent(p: Formula, xs,
     for q in sorted(subformulas(p), key=sort_key):
         if q in members or Not(q) in members:
             continue
-        if consistent(sorted(members | {q}, key=sort_key), max_candidates):
-            out.append(q)
-            members.add(q)
-        else:
-            out.append(Not(q))
-            members.add(Not(q))
+        kept = q if consistent(sorted(members | {q}, key=sort_key), max_candidates) else Not(q)
+        out.append(kept)
+        members.add(kept)
     return tuple(out)
 
 
@@ -180,9 +175,9 @@ def build_standard_model(
     2^(atoms + Box subformulas), the number of types that elimination decides
     (see ``_surviving_types``).  The frame is checked to be
     irreflexive-transitive, the truth lemma is checked on every (world,
-    subformula) pair and ``p`` is checked to fail at the returned world
-    before returning; by soundness the truth lemma also certifies that every
-    world is consistent."""
+    subformula) pair, and ``p`` must not be a member of the returned world's
+    list, so by the truth lemma it fails there.  By soundness the truth
+    lemma also certifies that every world is consistent."""
     masks, alive, sees = _surviving_types(p, max_candidates)
     if not alive & ~masks[p]:
         return None
@@ -201,7 +196,7 @@ def build_standard_model(
         raise InternalCheckError("standard frame is not irreflexive transitive")
     if not truth_lemma_check(p, sm):
         raise InternalCheckError("truth lemma fails on the standard model")
-    if falsified in truth_sets(model)(p):
+    if p in sm.worlds[falsified]:
         raise InternalCheckError("standard model does not falsify the target")
     return sm, sm.worlds[falsified]
 
@@ -217,15 +212,19 @@ def _bits(mask: int):
 def truth_lemma_check(p: Formula, sm: StandardModel) -> bool:
     """Membership coincides with forcing: for every world and every
     subformula of the target, the subformula is a member of the world's list
-    iff it holds at the world's index."""
-    truth_set = truth_sets(sm.model)
-    truth_set(p)  # one walk; each subformula's truth set is then kept
-    member_sets = [set(members) for members in sm.worlds]
-    for q in subformulas(p):
-        forced = truth_set(q)
-        if any((q in mset) != (i in forced) for i, mset in enumerate(member_sets)):
-            return False
-    return True
+    iff it holds at the world's index.  Per subformula, the mask of the
+    lists that hold it must equal its truth mask on those lists; a list whose
+    index is not a world gets a bit above every world's, where nothing holds."""
+    index, mask_of = _truth_masks(sm.model)
+    mask_of(p)  # one walk; each subformula's mask is then kept
+    bits = [1 << index.get(i, len(index) + i) for i in range(len(sm.worlds))]
+    members = dict.fromkeys(subformulas(p), 0)
+    for bit, lst in zip(bits, sm.worlds):
+        for q in lst:
+            if q in members:
+                members[q] |= bit
+    listed = sum(bits)
+    return all(mask_of(q) & listed == mask for q, mask in members.items())
 
 
 def world_lists_to_dict(sm: StandardModel) -> dict:

@@ -5,8 +5,9 @@ atom is true; every (atom, world) pair not listed is false.  One evaluator,
 `_eval_mask`, computes the worlds where a formula is true as a bitmask, for
 one model or for many frames on n worlds under many valuations at once (bit
 ``((s*V) + v)*n + w`` is world ``w`` of the frame in slot ``s`` under
-valuation ``v``, with V valuations per frame); `holds`, `truth_sets` and the
-exhaustive checks all use it.  This module also provides the frame-class
+valuation ``v``, with V valuations per frame).  `_truth_masks` binds it to
+one model; `holds`, `truth_sets` and the countermodel and truth-lemma checks
+read the bits of its masks.  This module also provides the frame-class
 predicates for GL (irreflexive transitive finite, and transitive Noetherian
 restricted to finite frames) and an exhaustive bounded validity oracle,
 which generates the ITF frames directly as strict partial orders and
@@ -20,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 
-from ._jsontext import dumps_indented, loads
+from ._jsontext import dumps_indented, is_natural, loads
 from .errors import BudgetExceededError
 from .syntax import And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, atoms, children_first
 
@@ -57,10 +58,7 @@ class Model:
                 raise ValueError(f"valuation of {name!r} mentions worlds outside the frame")
 
     def true_worlds(self, atom_name: str) -> frozenset[int]:
-        for name, ws in self.val:
-            if name == atom_name:
-                return ws
-        return frozenset()
+        return next((ws for name, ws in self.val if name == atom_name), frozenset())
 
 
 def make_model(worlds, rel, val=None) -> Model:
@@ -131,17 +129,27 @@ def _eval_mask(f: Formula, full: int, pred: list[int], val_masks: dict[str, int]
     return memo[f]
 
 
-def truth_sets(m: Model) -> Callable[[Formula], frozenset[int]]:
-    """The evaluator bound to one model, which it converts once: maps a
-    formula to the set of worlds of ``m`` where it is true.  Subformula masks
-    are kept for the life of the returned function, and a formula whose mask
-    is kept is not walked again; so a caller that evaluates many related
-    formulas evaluates their common root first."""
+def _truth_masks(m: Model) -> tuple[dict[int, int], Callable[[Formula], int]]:
+    """The evaluator bound to one model, which it converts once: world ``w``
+    is bit ``index[w]``, and ``mask_of`` maps a formula to the mask of the
+    worlds where it is true.  Subformula masks are kept for the life of
+    ``mask_of``, and a kept one is not walked again; so a caller that
+    evaluates many related formulas evaluates their common root first."""
     index, full, pred, val = _model_masks(m)
     memo: dict[Formula, int] = {}
 
+    def mask_of(f: Formula) -> int:
+        return memo[f] if f in memo else _eval_mask(f, full, pred, val, 1, memo)
+
+    return index, mask_of
+
+
+def truth_sets(m: Model) -> Callable[[Formula], frozenset[int]]:
+    """Maps a formula to the set of worlds of ``m`` where it is true."""
+    index, mask_of = _truth_masks(m)
+
     def truth_set(f: Formula) -> frozenset[int]:
-        mask = memo[f] if f in memo else _eval_mask(f, full, pred, val, 1, memo)
+        mask = mask_of(f)
         return frozenset(w for w, i in index.items() if mask >> i & 1)
 
     return truth_set
@@ -151,7 +159,8 @@ def holds(m: Model, f: Formula, w: int) -> bool:
     """Forcing: is ``f`` true at world ``w`` of model ``m``?"""
     if w not in m.frame.worlds:
         raise UnknownWorldError(f"world {w} is not in the model")
-    return w in truth_sets(m)(f)
+    index, mask_of = _truth_masks(m)
+    return bool(mask_of(f) >> index[w] & 1)
 
 
 # Frame-valuation pairs per evaluator pass; the masks have at most
@@ -418,10 +427,6 @@ def model_to_json(m: Model, falsified_at: int | None = None) -> str:
     return dumps_indented(model_to_dict(m, falsified_at))
 
 
-def _natural(v) -> bool:
-    return type(v) is int and v >= 0  # not a bool, although bool subclasses int
-
-
 def model_from_dict(doc: dict) -> tuple[Model, int | None]:
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
@@ -431,19 +436,19 @@ def model_from_dict(doc: dict) -> tuple[Model, int | None]:
         val = doc.get("val", {})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model document is missing field {exc}") from None
-    if not isinstance(worlds, list) or not all(_natural(w) for w in worlds):
+    if not isinstance(worlds, list) or not all(is_natural(w) for w in worlds):
         raise ValueError("'worlds' must be an array of naturals")
     if not isinstance(rel, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(_natural(c) for c in p) for p in rel
+        isinstance(p, list) and len(p) == 2 and all(is_natural(c) for c in p) for p in rel
     ):
         raise ValueError("'rel' must be an array of 2-arrays")
     if not isinstance(val, dict) or not all(
-        isinstance(a, str) and isinstance(ws, list) and all(_natural(w) for w in ws)
+        isinstance(a, str) and isinstance(ws, list) and all(is_natural(w) for w in ws)
         for a, ws in val.items()
     ):
         raise ValueError("'val' must map atom names to arrays of worlds")
     falsified_at = doc.get("falsifiedAt")
-    if falsified_at is not None and not _natural(falsified_at):
+    if falsified_at is not None and not is_natural(falsified_at):
         raise ValueError("'falsifiedAt' must be a natural")
     model = make_model(worlds, ((x, y) for x, y in rel), {a: ws for a, ws in val.items()})
     return model, falsified_at

@@ -99,7 +99,7 @@ from .derivation import (  # noqa: F401 -- re-exported: the CLI reaches them her
     derivation_to_json, derivation_to_text,
 )
 from .errors import BudgetExceededError, InternalCheckError
-from .semantics import Model, is_itf, make_model, truth_sets
+from .semantics import Model, _truth_masks, is_itf, make_model
 from .syntax import And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, children_first, pretty, sort_key
 
 DEFAULT_MAX_STEPS = 10**6
@@ -565,8 +565,8 @@ def extract_countermodel(branch: SequentState, root: int) -> tuple[Model, int]:
     """Read the countermodel off a saturated open branch: its labels are the
     worlds, its relational atoms the relation, and an atom is true at a label
     exactly when the branch asserts it on the left.  The result is verified:
-    the frame must be irreflexive-transitive and the model must make every
-    left formula true and every right formula false at its label."""
+    the frame must be irreflexive-transitive, and bit x of the mask of each
+    x:A must be set on the left and clear on the right."""
     worlds = set(branch.labels()) | {root}
     val: dict[str, set[int]] = {}
     for x, f in branch.left:
@@ -575,23 +575,23 @@ def extract_countermodel(branch: SequentState, root: int) -> tuple[Model, int]:
     model = make_model(worlds, branch.rel, val)
     if not is_itf(model.frame):
         raise InternalCheckError("open branch did not produce an irreflexive transitive frame")
-    truth_set = truth_sets(model)
+    index, mask_of = _truth_masks(model)
     for x, f in branch.left:
-        if x not in truth_set(f):
+        if not mask_of(f) >> index[x] & 1:
             raise InternalCheckError(f"countermodel fails antecedent {x}:{pretty(f)}")
     for x, f in branch.right:
-        if x in truth_set(f):
+        if mask_of(f) >> index[x] & 1:
             raise InternalCheckError(f"countermodel satisfies consequent {x}:{pretty(f)}")
     return model, root
 
 
 def search(f: Formula, max_steps: int = DEFAULT_MAX_STEPS) -> SearchResult:
     """Decide ``f``: a closed derivation of the sequent ``=> 0:f``, or a
-    validated countermodel from the first open root leaf."""
+    countermodel from the first open root leaf, validated on that branch
+    with 0:f added on the right: one evaluation checks branch and goal."""
     outcome = _Searcher(max_steps).expand(_Branch(f))
     if isinstance(outcome, Derivation):
         return Proved(outcome)
-    model, world = extract_countermodel(outcome, 0)
-    if world in truth_sets(model)(f):
-        raise InternalCheckError("extracted model does not falsify the goal at the root")
+    goal_false = SequentState(outcome.rel, outcome.left, outcome.right | {(0, f)})
+    model, world = extract_countermodel(goal_false, 0)
     return Refuted(outcome, model, world)

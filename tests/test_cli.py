@@ -63,6 +63,16 @@ def test_prove_rejected_derivation_exit_4(monkeypatch, capsys):
     assert "proved" not in out.out
 
 
+def test_prove_open_branch_that_fits_no_countermodel_exit_4(monkeypatch, capsys):
+    empty = sequent.SequentState(frozenset(), frozenset(), frozenset())
+    monkeypatch.setattr(sequent._Searcher, "expand", lambda self, br: empty)
+    assert main(["prove", "p --> p"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("internal error: ")
+    assert len(out.err.splitlines()) == 1
+
+
 def test_prove_structured_too_deep_exit_2_without_verdict(monkeypatch, tmp_path, capsys):
     def too_deep(d, goal):
         raise ValueError("derivation deeper than 494 levels")

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from glprover import henkin, sequent
+from glprover import henkin, semantics, sequent
 from glprover.errors import BudgetExceededError, InternalCheckError
 from glprover.hilbert import conjlist
 from glprover.henkin import (
@@ -116,6 +116,28 @@ def test_truth_lemma_detects_mutation():
     bad_model = make_model(sm.model.frame.worlds, sm.model.frame.rel, {"p": flipped})
     bad = StandardModel(sm.target, sm.worlds, bad_model)
     assert not truth_lemma_check(sm.target, bad)
+
+
+def test_truth_lemma_detects_missing_successors():
+    # without its relation the standard model of Box p makes Box p true at
+    # every world, also at the lists that hold Not Box p, while p keeps its
+    # valuation: only the Box subformula tells the models apart
+    out = build_standard_model(parse("Box p"))
+    assert out is not None
+    sm, _ = out
+    assert sm.model.frame.rel
+    bad_model = make_model(sm.model.frame.worlds, (), dict(sm.model.val))
+    assert not truth_lemma_check(sm.target, StandardModel(sm.target, sm.worlds, bad_model))
+
+
+def test_refuted_standard_model_binds_the_evaluator_once(monkeypatch):
+    # the truth lemma's evaluation also settles the target at the returned world
+    models = []
+    model_masks = semantics._model_masks
+    monkeypatch.setattr(semantics, "_model_masks", lambda m: models.append(m) or model_masks(m))
+    out = build_standard_model(parse("p --> Box p"))
+    assert out is not None
+    assert models == [out[0].model]
 
 
 def test_standard_rel_is_irreflexive_transitive(corpus):

@@ -7,13 +7,14 @@ import time
 import pytest
 
 from conftest import random_formula
+from glprover import semantics
 from glprover.derivation import _replay
-from glprover.errors import BudgetExceededError
+from glprover.errors import BudgetExceededError, InternalCheckError
 from glprover.henkin import consistent
 from glprover.semantics import Falsified, ValidUpTo, holds, is_itf, oracle_valid
 from glprover.sequent import (
     Derivation, INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR,
-    Proved, RAND, RBOXLOB, RIMP, RNOT, ROR, RTOP, Refuted, TRANS, TWO_PREMISE_RULES,
+    Proved, RAND, RBOXLOB, RIMP, RNOT, ROR, RTOP, Refuted, SequentState, TRANS, TWO_PREMISE_RULES,
     _Branch, _Reuse, _Searcher, check_derivation, derivation_error,
     derivation_from_json, derivation_to_dot,
     derivation_to_json, derivation_to_text, extract_countermodel, search,
@@ -81,6 +82,39 @@ def test_extract_countermodel_box_false():
     assert root == 0
     assert len(model.frame.worlds) == 2
     assert not holds(model, Box(FALSE), 0)
+
+
+@pytest.mark.parametrize("rel, left, right, message", [
+    # a reflexive relation is no ITF frame
+    ({(0, 0)}, set(), set(), "irreflexive transitive"),
+    # p is true at 0, since the branch asserts it on the left, so Not p fails
+    (set(), {(0, P), (0, Not(P))}, set(), "fails antecedent 0:"),
+    # p is false at 0, so Not p holds
+    (set(), set(), {(0, Not(P))}, "satisfies consequent 0:"),
+])
+def test_extract_countermodel_rejects_a_branch_its_model_does_not_fit(rel, left, right, message):
+    branch = SequentState(frozenset(rel), frozenset(left), frozenset(right))
+    with pytest.raises(InternalCheckError, match=message):
+        extract_countermodel(branch, 0)
+
+
+def test_refuted_search_binds_the_evaluator_once(monkeypatch):
+    # the branch and the goal at the root are checked in one evaluation
+    models = []
+    model_masks = semantics._model_masks
+    monkeypatch.setattr(semantics, "_model_masks", lambda m: models.append(m) or model_masks(m))
+    result = search(parse("Box a0 || Box a1 --> a2"))
+    assert isinstance(result, Refuted)
+    assert models == [result.countermodel]
+
+
+def test_search_rejects_an_open_branch_its_goal_holds_on(monkeypatch):
+    # an empty open branch reads as one world where p --> p holds, so the
+    # goal check at the root must reject it
+    empty = SequentState(frozenset(), frozenset(), frozenset())
+    monkeypatch.setattr(_Searcher, "expand", lambda self, br: empty)
+    with pytest.raises(InternalCheckError):
+        search(parse("p --> p"))
 
 
 def test_search_is_deterministic(corpus):

@@ -1,13 +1,13 @@
 """Indented JSON text, written without recursion.
 
-Every JSON certificate (derivations, models, the henkin sidecar) is written
-by ``dumps_indented``.  ``json.dumps`` uses its C encoder only without
-``indent``; with it, it runs a pure-Python encoder that passes each chunk up
-through one generator frame per nesting level, and a derivation nests two
-levels per rule.  This writer keeps one explicit stack of open containers,
-appends every piece to one list, and escapes strings with the standard
-library's C function, so it writes the same bytes at a fraction of the cost
-and at any depth.
+Models and the henkin sidecar are written by ``dumps_indented``; structured
+derivations have their own writer, ``derivation.derivation_to_json``, which
+lays the same text out straight from the replay.  ``json.dumps`` uses its C
+encoder only without ``indent``; with it, it runs a pure-Python encoder that
+passes each chunk up through one generator frame per nesting level.  This
+writer keeps one explicit stack of open containers, appends every piece to
+one list, and escapes strings with the standard library's C function, so it
+writes the same bytes at a fraction of the cost and at any depth.
 """
 
 from __future__ import annotations

@@ -8,6 +8,13 @@ loader and the three serializers (structured JSON, indented text, DOT graph)
 all read the tree by it.  Nothing here depends on how a derivation was
 found.
 
+The serializers write straight from the replay.  Consecutive sequents mostly
+share their sides, so each writer call prints every formula, labelled
+formula and sequent side once and reuses the text.  The structured writer
+lays each node's text out as if the node stood at the left margin and
+shifts it into place with one replace; the loader compares the document
+with that text stripped of its layout.
+
 The checker states the eleven rules whose principal is one labelled formula
 x:A (Init, LBot, RTop and the eight propositional rules) as one table, a row
 per rule: the sides x:A must stand on, the connectives A may have, the error
@@ -20,9 +27,11 @@ rules, so a slip in either one shows as a proof the checker rejects.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
-from ._jsontext import dumps_indented, is_natural, loads
+from ._jsontext import is_natural, loads
 from .syntax import And, Box, Falsum, Formula, Iff, Imp, Not, Or, ParseError, Verum, parse, pretty, sort_key
 
 # Rule identifiers.  Leaves: Init, LBot, Irref, plus RTop (a sequent with x:True
@@ -199,17 +208,18 @@ def check_derivation(d: Derivation, goal: Formula) -> bool:
 
 # --- serialization ---------------------------------------------------------------
 
-class _Texts(dict):
-    """``pretty`` of each formula, printed once: one writer call keeps one,
-    since a certificate repeats its formulas at every node."""
+class _Memo(dict):
+    """``render(key)`` for each key, computed once.  A writer call keeps one
+    per kind of text, since a certificate repeats its formulas, labelled
+    formulas and whole sequent sides from node to node."""
 
-    def __missing__(self, f: Formula) -> str:
-        text = self[f] = pretty(f)
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
         return text
-
-
-def _principal_to_list(principal: tuple, texts: _Texts) -> list:
-    return [texts[v] if isinstance(v, Formula) else v for v in principal]
 
 
 def _label(v) -> int:
@@ -226,38 +236,52 @@ def _principal_from_list(rule: str, raw: list) -> tuple:
     return (_label(raw[0]), parse(raw[1]))
 
 
-def _sequent_to_dict(s: SequentState, texts: _Texts) -> dict:
-    return {
-        "rel": sorted([x, y] for x, y in s.rel),
-        "left": [[x, texts[f]] for x, f in sorted(s.left, key=_lf_key)],
-        "right": [[x, texts[f]] for x, f in sorted(s.right, key=_lf_key)],
-    }
+def _json_list(items: list[str]) -> str:
+    # a sequent side's array, laid out for its node at the left margin
+    return "[\n      " + ",\n      ".join(items) + "\n    ]" if items else "[]"
 
 
-def derivation_to_dict(d: Derivation, goal: Formula) -> dict:
-    """Nested document of a derivation of ``=> 0:goal``, with replayed
-    sequents; ValueError if a node lies deeper than
-    ``STRUCTURED_MAX_DEPTH``."""
-    open_nodes: list[dict] = []  # the document's nodes from the root down
-    texts = _Texts()
+def _structured_pieces(d: Derivation, goal: Formula):
+    """Yield the structured document of a derivation of ``=> 0:goal`` as
+    ``(depth, text)`` pieces, in order: ``text`` is laid out as if its node
+    stood at the left margin, and belongs 4 * ``depth`` spaces further right
+    after each newline.  The text is ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"`` of the nested document ``{"premises",
+    "principal", "rule", "sequent": {"left", "rel", "right"}}``, so a node's
+    premises come before its own text, which is written once its subtree is
+    closed.  ValueError if a node lies deeper than ``STRUCTURED_MAX_DEPTH``."""
+    texts = _Memo(lambda f: _quote(pretty(f)))
+    items = _Memo(lambda lf: f"[\n        {lf[0]},\n        {texts[lf[1]]}\n      ]")
+    sides = _Memo(lambda side: _json_list([items[lf] for lf in sorted(side, key=_lf_key)]))
+    rels = _Memo(lambda rel: _json_list([f"[\n        {x},\n        {y}\n      ]" for x, y in sorted(rel)]))
+    closing: list[str] = []  # the closing text of each open node with premises, root first
+    separator = ""  # before the next node: none at the root, then a newline, a comma after a sibling
     for depth, node, s in _replay(d, goal):
         if depth > STRUCTURED_MAX_DEPTH:
             raise ValueError(f"derivation deeper than {STRUCTURED_MAX_DEPTH} levels")
-        doc = {
-            "rule": node.rule,
-            "principal": _principal_to_list(node.principal, texts),
-            "sequent": _sequent_to_dict(s, texts),
-            "premises": [],
-        }
-        del open_nodes[depth:]
-        if open_nodes:
-            open_nodes[-1]["premises"].append(doc)
-        open_nodes.append(doc)
-    return open_nodes[0]
+        while len(closing) > depth:  # the subtrees ending here, deepest first
+            yield len(closing) - 1, closing.pop()
+            separator = ",\n"
+        principal = ",\n    ".join([texts[v] if isinstance(v, Formula) else str(v) for v in node.principal])
+        own = (f'\n  "principal": [\n    {principal}\n  ],\n  "rule": {_quote(node.rule)},\n  "sequent": {{'
+               f'\n    "left": {sides[s.left]},\n    "rel": {rels[s.rel]},\n    "right": {sides[s.right]}\n  }}\n}}')
+        if node.premises:
+            yield depth, separator + '{\n  "premises": ['
+            closing.append("\n  ]," + own)
+            separator = "\n"
+        else:
+            yield depth, separator + '{\n  "premises": [],' + own
+            separator = ",\n"
+    while closing:
+        yield len(closing) - 1, closing.pop()
+    yield 0, "\n"
 
 
 def derivation_to_json(d: Derivation, goal: Formula) -> str:
-    return dumps_indented(derivation_to_dict(d, goal))
+    """Structured (JSON) document of a derivation of ``=> 0:goal``, with
+    replayed sequents; ValueError if a node lies deeper than
+    ``STRUCTURED_MAX_DEPTH``."""
+    return "".join([text.replace("\n", "\n" + "    " * depth) for depth, text in _structured_pieces(d, goal)])
 
 
 def _tree_from_dict(doc: dict) -> Derivation:
@@ -278,8 +302,11 @@ def derivation_from_dict(doc: dict) -> Derivation:
     try:
         goal = parse(doc["sequent"]["right"][0][1])
         d = _tree_from_dict(doc)
-        # compared as JSON text, where 0, 0.0 and false differ
-        if json.dumps(derivation_to_dict(d, goal), sort_keys=True) != json.dumps(doc, sort_keys=True):
+        # compared as JSON text without its layout, where 0, 0.0 and false
+        # differ; each piece is stripped as it comes, so the rendering's
+        # indentation is never held whole
+        written = "".join([re.sub(r"\n *", "", text) for _, text in _structured_pieces(d, goal)])
+        if written != json.dumps(doc, sort_keys=True, separators=(",", ": ")):
             raise ValueError("the stated sequents are not the replayed ones")
     except (KeyError, TypeError, IndexError, ValueError, ParseError, RecursionError) as exc:
         raise ValueError(f"malformed derivation document: {exc}") from None
@@ -290,21 +317,31 @@ def derivation_from_json(text: str) -> Derivation:
     return derivation_from_dict(loads(text))
 
 
-def _sequent_to_text(s: SequentState, texts: _Texts) -> str:
-    ante = [f"{x}R{y}" for x, y in sorted(s.rel)]
-    ante += [f"{x}:{texts[f]}" for x, f in sorted(s.left, key=_lf_key)]
-    cons = [f"{x}:{texts[f]}" for x, f in sorted(s.right, key=_lf_key)]
-    return ", ".join(ante) + " => " + ", ".join(cons)
+class _SequentTexts:
+    """The text of each formula, sequent side and set of relational atoms,
+    printed once per writer call, since consecutive sequents mostly share
+    their sides."""
+
+    def __init__(self):
+        formulas = self.formulas = _Memo(pretty)  # not read through self: no cycle outlives the call
+        self.sides = _Memo(lambda side: ", ".join([f"{x}:{formulas[f]}" for x, f in sorted(side, key=_lf_key)]))
+        self.rels = _Memo(lambda rel: ", ".join([f"{x}R{y}" for x, y in sorted(rel)]))
+
+
+def _sequent_to_text(s: SequentState, texts: _SequentTexts) -> str:
+    ante = ", ".join(filter(None, (texts.rels[s.rel], texts.sides[s.left])))
+    return f"{ante} => {texts.sides[s.right]}"
 
 
 def derivation_to_text(d: Derivation, goal: Formula) -> str:
     """Human-readable indented rendering of a derivation of ``=> 0:goal``."""
     lines: list[str] = []
-    texts = _Texts()
+    texts = _SequentTexts()
     for depth, node, s in _replay(d, goal):
-        principal = ",".join(str(v) for v in _principal_to_list(node.principal, texts))
+        principal = ",".join([texts.formulas[v] if isinstance(v, Formula) else str(v) for v in node.principal])
         lines.append("  " * depth + f"{node.rule}[{principal}]  {_sequent_to_text(s, texts)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def derivation_to_dot(d: Derivation, goal: Formula) -> str:
@@ -312,7 +349,7 @@ def derivation_to_dot(d: Derivation, goal: Formula) -> str:
     application; the edge into a node follows the node's whole subtree."""
     lines = ["digraph derivation {"]
     open_ids: list[int] = []  # ids of the nodes from the root down
-    texts = _Texts()
+    texts = _SequentTexts()
     for nid, (depth, node, s) in enumerate(_replay(d, goal)):
         while len(open_ids) > depth:  # the subtrees ending here, deepest first
             child = open_ids.pop()
@@ -321,5 +358,5 @@ def derivation_to_dot(d: Derivation, goal: Formula) -> str:
         lines.append(f'  n{nid} [label="{label}"];')
         open_ids.append(nid)
     lines += [f"  n{parent} -> n{child};" for parent, child in zip(open_ids[-2::-1], open_ids[:0:-1])]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

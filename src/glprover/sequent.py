@@ -95,7 +95,7 @@ from .derivation import (  # noqa: F401 -- re-exported: the CLI reaches them her
     INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR, RAND, RBOXLOB, RIMP,
     RNOT, ROR, RTOP, TRANS, TWO_PREMISE_RULES, Derivation, LabelledFormula, RelAtom,
     SequentState, _components, _lf_key, check_derivation, derivation_error,
-    derivation_from_dict, derivation_from_json, derivation_to_dict, derivation_to_dot,
+    derivation_from_dict, derivation_from_json, derivation_to_dot,
     derivation_to_json, derivation_to_text,
 )
 from .errors import BudgetExceededError, InternalCheckError

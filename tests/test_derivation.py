@@ -1,14 +1,16 @@
 """The derivation checker's rule table against the rules written out one by
-one, as the checker stated them before the table."""
+one, as the checker stated them before the table; and the text and graph
+writers, which print each sequent side once per call, against the
+rendering that printed every sequent afresh."""
 
 import pytest
 
 from glprover.derivation import (
     INIT, IRREF, LAND, LBOT, LBOX, LIMP, LNOT, LOR, RAND, RBOXLOB, RIMP, RNOT, ROR, RTOP, TRANS,
-    SequentState, _components, _expected_premises, _replay,
+    SequentState, _components, _expected_premises, _lf_key, _replay, derivation_to_dot, derivation_to_text,
 )
 from glprover.sequent import Proved, search
-from glprover.syntax import FALSE, TRUE, And, Atom, Box, Falsum, Iff, Imp, Not, Or, Verum, parse
+from glprover.syntax import FALSE, TRUE, And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, parse, pretty
 
 ALL_RULES = (INIT, LBOT, RTOP, IRREF, LAND, RAND, LOR, ROR, LNOT, RNOT, LIMP, RIMP, TRANS, LBOX, RBOXLOB)
 
@@ -170,3 +172,48 @@ def test_table_matches_reference_on_malformed_principals():
     for rule in ALL_RULES + ("Cut",):
         for principal in malformed:
             assert_same(SEQUENT, rule, principal)
+
+
+def reference_sequent_to_text(s: SequentState) -> str:
+    """A sequent's text, sorted and printed afresh."""
+    ante = [f"{x}R{y}" for x, y in sorted(s.rel)]
+    ante += [f"{x}:{pretty(f)}" for x, f in sorted(s.left, key=_lf_key)]
+    cons = [f"{x}:{pretty(f)}" for x, f in sorted(s.right, key=_lf_key)]
+    return ", ".join(ante) + " => " + ", ".join(cons)
+
+
+def reference_text(d, goal) -> str:
+    lines = []
+    for depth, node, s in _replay(d, goal):
+        principal = ",".join(pretty(v) if isinstance(v, Formula) else str(v) for v in node.principal)
+        lines.append("  " * depth + f"{node.rule}[{principal}]  {reference_sequent_to_text(s)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dot(d, goal) -> str:
+    lines = ["digraph derivation {"]
+    open_ids: list[int] = []
+    for nid, (depth, node, s) in enumerate(_replay(d, goal)):
+        while len(open_ids) > depth:
+            child = open_ids.pop()
+            lines.append(f"  n{open_ids[-1]} -> n{child};")
+        label = f"{node.rule}: {reference_sequent_to_text(s)}".replace('"', "'")
+        lines.append(f'  n{nid} [label="{label}"];')
+        open_ids.append(nid)
+    lines += [f"  n{parent} -> n{child};" for parent, child in zip(open_ids[-2::-1], open_ids[:0:-1])]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_text_and_graph_writers_match_reference(corpus, tier_formulas):
+    # Box p --> Box^12 p: consecutive sequents share long sides, and the
+    # relational atoms grow along the chain
+    proofs = 0
+    for f in corpus + tier_formulas + [parse("Box p --> " + "Box " * 12 + "p")]:
+        result = search(f)
+        if isinstance(result, Proved):
+            proofs += 1
+            d = result.derivation
+            assert derivation_to_text(d, f) == reference_text(d, f)
+            assert derivation_to_dot(d, f) == reference_dot(d, f)
+    assert proofs >= 50

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from glprover import henkin
 from glprover._jsontext import dumps_indented
 from glprover.derivation import (
-    STRUCTURED_MAX_DEPTH, derivation_from_json, derivation_to_dict, derivation_to_json,
+    INIT, LBOX, RBOXLOB, RIMP, STRUCTURED_MAX_DEPTH, Derivation, derivation_from_json, derivation_to_json,
 )
 from glprover.errors import BudgetExceededError
 from glprover.hilbert import proof_from_json
@@ -64,8 +64,8 @@ def test_certificates_are_the_stdlib_rendering(corpus):
     for f in corpus:
         result = search(f)
         if isinstance(result, Proved):
-            d = result.derivation
-            assert derivation_to_json(d, f) == stdlib(derivation_to_dict(d, f))
+            text = derivation_to_json(result.derivation, f)
+            assert text == stdlib(json.loads(text))
             written["proof"] += 1
         else:
             m, w = result.countermodel, result.falsified_at
@@ -84,22 +84,33 @@ def test_certificates_are_the_stdlib_rendering(corpus):
     assert min(written.values()) >= 30, written
 
 
-def _chain(n: int):
-    """``a0 --> ... --> a(n-1) --> a0``: n RImp steps, then Init at depth n."""
-    return parse(" --> ".join(f"a{i}" for i in range(n)) + " --> a0")
+def _repeated_lbox(n: int):
+    """A derivation of ``Box p --> Box p`` with its Init leaf n premises
+    below the root: RImp, RBoxLob, then n - 2 copies of one LBox step, which
+    the schema allows although it changes nothing.  Every sequent is small,
+    so the text stays near 19 MB at n = 494."""
+    goal, box_p, p = parse("Box p --> Box p"), parse("Box p"), parse("p")
+    node = Derivation(INIT, (1, p))
+    for _ in range(n - 2):
+        node = Derivation(LBOX, (0, box_p, 1), (node,))
+    return Derivation(RIMP, (0, goal), (Derivation(RBOXLOB, (0, box_p, 1), (node,)),)), goal
 
 
 def test_structured_depth_limit():
     """494 levels, the depth json.dumps(indent=2) wrote under the default
-    recursion limit, are kept; 495 are refused before any text is made."""
+    recursion limit, are kept; 495 are refused before any text is returned."""
     assert STRUCTURED_MAX_DEPTH == 494
-    at_limit, beyond = _chain(494), _chain(495)
-    doc = derivation_to_dict(search(at_limit).derivation, at_limit)
-    for _ in range(494):
-        (doc,) = doc["premises"]
-    assert doc["rule"] == "Init" and doc["premises"] == []
+    # read from the text, since json.loads under the test runner's stack
+    # would exceed the recursion limit: a node's line holds its opening brace
+    # alone, indented 4 spaces a level, and its rule follows its premises
+    lines = derivation_to_json(*_repeated_lbox(494)).splitlines()
+    assert [len(line) - 1 for line in lines if line.lstrip() == "{"] == [4 * k for k in range(495)]
+    rules = [((len(line) - len(line.lstrip()) - 2) // 4, line.strip()) for line in lines if '"rule": ' in line]
+    assert rules == ([(494, '"rule": "Init",')] + [(k, '"rule": "LBox",') for k in range(493, 1, -1)]
+                     + [(1, '"rule": "RBoxLob",'), (0, '"rule": "RImp",')])
+    assert [line for line in lines if '"premises": []' in line] == [" " * (4 * 494 + 2) + '"premises": [],']
     with pytest.raises(ValueError, match="deeper than 494 levels"):
-        derivation_to_json(search(beyond).derivation, beyond)
+        derivation_to_json(*_repeated_lbox(495))
 
 
 @pytest.mark.parametrize("load", [derivation_from_json, model_from_json, proof_from_json])

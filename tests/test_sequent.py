@@ -263,6 +263,42 @@ def test_loader_checks_every_stated_sequent():
     assert not _accepted(weakened, f)
 
 
+def _keys_reversed(value):
+    if isinstance(value, dict):
+        return {k: _keys_reversed(value[k]) for k in sorted(value, reverse=True)}
+    if isinstance(value, list):
+        return [_keys_reversed(v) for v in value]
+    return value
+
+
+def test_loader_compares_content_not_layout():
+    f = parse("Box (Box p --> p) --> Box p")
+    d = search(f).derivation
+    doc = json.loads(derivation_to_json(d, f))
+    assert list(_keys_reversed(doc)) == ["sequent", "rule", "principal", "premises"]
+    for text in (json.dumps(doc), json.dumps(doc, indent=4), json.dumps(_keys_reversed(doc))):
+        assert derivation_from_json(text) == d
+
+
+def test_loader_rejects_one_changed_premise_sequent():
+    f = parse("Box (Box p --> p) --> Box p")
+    doc = json.loads(derivation_to_json(search(f).derivation, f))
+    paths, stack = [], [((), doc)]
+    while stack:
+        path, node = stack.pop()
+        paths.append(path)
+        stack.extend((path + (k,), p) for k, p in enumerate(node["premises"]))
+    assert len(paths) > 5
+    for path in paths[1:]:  # every premise, one at a time
+        for side, item in (("right", [0, "q"]), ("left", [9, "p"]), ("rel", [0, 9])):
+            changed = copy.deepcopy(doc)
+            node = changed
+            for k in path:
+                node = node["premises"][k]
+            node["sequent"][side].append(item)
+            assert not _accepted(changed, f), (path, side)
+
+
 def test_loader_requires_natural_labels():
     f = parse("Box (Box p --> p) --> Box p")
     doc = json.loads(derivation_to_json(search(f).derivation, f))

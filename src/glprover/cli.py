@@ -75,6 +75,8 @@ def _read_certificate(path: str, load, what: str):
 
 def cmd_prove(args) -> int:
     formula = _read_formula(args)
+    if args.max_steps < 0:
+        return _fail("--max-steps must not be negative")
     result = sequent.search(formula, max_steps=args.max_steps)
     if isinstance(result, sequent.Proved):
         d = result.derivation
@@ -119,6 +121,8 @@ def cmd_oracle(args) -> int:
     formula = _read_formula(args)
     if args.max_worlds < 1:
         return _fail("--max-worlds must be at least 1")
+    if args.eval_budget < 0:
+        return _fail("--eval-budget must not be negative")
     verdict = semantics.oracle_valid(formula, args.max_worlds, eval_budget=args.eval_budget)
     if isinstance(verdict, semantics.ValidUpTo):
         print(f"valid on every ITF frame with up to {verdict.bound} worlds")
@@ -130,6 +134,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_henkin(args) -> int:
     formula = _read_formula(args)
+    if args.eval_budget < 0:
+        return _fail("--eval-budget must not be negative")
     outcome = henkin.build_standard_model(formula, max_candidates=args.eval_budget)
     if outcome is None:
         print(f"theorem: {pretty(formula)} (no standard countermodel)")

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
-from ._jsontext import is_natural, loads
+from ._jsontext import array, is_natural, loads
 from .syntax import And, Box, Falsum, Formula, Iff, Imp, Not, Or, ParseError, Verum, parse, pretty, sort_key
 
 # Rule identifiers.  Leaves: Init, LBot, Irref, plus RTop (a sequent with x:True
@@ -211,7 +211,8 @@ def check_derivation(d: Derivation, goal: Formula) -> bool:
 class _Memo(dict):
     """``render(key)`` for each key, computed once.  A writer call keeps one
     per kind of text, since a certificate repeats its formulas, labelled
-    formulas and whole sequent sides from node to node."""
+    formulas and whole sequent sides from node to node; a load keeps one of
+    the formulas parsed."""
 
     def __init__(self, render):
         super().__init__()
@@ -228,17 +229,12 @@ def _label(v) -> int:
     return v
 
 
-def _principal_from_list(rule: str, raw: list) -> tuple:
+def _principal_from_list(rule: str, raw: list, formulas: _Memo) -> tuple:
     if rule in (IRREF, TRANS):
         return tuple(_label(v) for v in raw)
     if rule in (LBOX, RBOXLOB):
-        return (_label(raw[0]), parse(raw[1]), _label(raw[2]))
-    return (_label(raw[0]), parse(raw[1]))
-
-
-def _json_list(items: list[str]) -> str:
-    # a sequent side's array, laid out for its node at the left margin
-    return "[\n      " + ",\n      ".join(items) + "\n    ]" if items else "[]"
+        return (_label(raw[0]), formulas[raw[1]], _label(raw[2]))
+    return (_label(raw[0]), formulas[raw[1]])
 
 
 def _structured_pieces(d: Derivation, goal: Formula):
@@ -252,8 +248,8 @@ def _structured_pieces(d: Derivation, goal: Formula):
     closed.  ValueError if a node lies deeper than ``STRUCTURED_MAX_DEPTH``."""
     texts = _Memo(lambda f: _quote(pretty(f)))
     items = _Memo(lambda lf: f"[\n        {lf[0]},\n        {texts[lf[1]]}\n      ]")
-    sides = _Memo(lambda side: _json_list([items[lf] for lf in sorted(side, key=_lf_key)]))
-    rels = _Memo(lambda rel: _json_list([f"[\n        {x},\n        {y}\n      ]" for x, y in sorted(rel)]))
+    sides = _Memo(lambda side: array([items[lf] for lf in sorted(side, key=_lf_key)], "    "))
+    rels = _Memo(lambda rel: array([f"[\n        {x},\n        {y}\n      ]" for x, y in sorted(rel)], "    "))
     closing: list[str] = []  # the closing text of each open node with premises, root first
     separator = ""  # before the next node: none at the root, then a newline, a comma after a sibling
     for depth, node, s in _replay(d, goal):
@@ -284,24 +280,26 @@ def derivation_to_json(d: Derivation, goal: Formula) -> str:
     return "".join([text.replace("\n", "\n" + "    " * depth) for depth, text in _structured_pieces(d, goal)])
 
 
-def _tree_from_dict(doc: dict) -> Derivation:
+def _tree_from_dict(doc: dict, formulas: _Memo) -> Derivation:
     # Recursive, one frame per level: json.loads already bounds the nesting,
     # two JSON levels per derivation level, below the recursion limit.
     rule = doc["rule"]
-    principal = _principal_from_list(rule, doc["principal"])
+    principal = _principal_from_list(rule, doc["principal"], formulas)
     premises = []
     for p in doc["premises"]:
-        premises.append(_tree_from_dict(p))
+        premises.append(_tree_from_dict(p, formulas))
     return Derivation(rule, principal, tuple(premises))
 
 
 def derivation_from_dict(doc: dict) -> Derivation:
     """Read a derivation document's rule tree; the goal is the root's stated
     ``=> 0:A``.  The document must be the tree's canonical rendering for that
-    goal, so every stated sequent is checked against the replay."""
+    goal, so every stated sequent is checked against the replay.  Each
+    distinct formula text is parsed once."""
+    formulas = _Memo(parse)
     try:
-        goal = parse(doc["sequent"]["right"][0][1])
-        d = _tree_from_dict(doc)
+        goal = formulas[doc["sequent"]["right"][0][1]]
+        d = _tree_from_dict(doc, formulas)
         # compared as JSON text without its layout, where 0, 0.0 and false
         # differ; each piece is stripped as it comes, so the rendering's
         # indentation is never held whole

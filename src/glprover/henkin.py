@@ -22,8 +22,9 @@ sees the survivors among which elimination sought its witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
-from ._jsontext import dumps_indented
+from ._jsontext import array, obj
 from .errors import BudgetExceededError, InternalCheckError
 from .hilbert import conjlist
 from .semantics import Model, _eval_mask, _truth_masks, is_itf, make_model
@@ -236,4 +237,4 @@ def world_lists_to_dict(sm: StandardModel) -> dict:
 
 def world_lists_to_json(sm: StandardModel) -> str:
     """The sidecar document as the text ``glprover henkin --emit-worlds`` writes."""
-    return dumps_indented(world_lists_to_dict(sm))
+    return obj([(i, array([_quote(q) for q in lst], "  ")) for i, lst in world_lists_to_dict(sm).items()]) + "\n"

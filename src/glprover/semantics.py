@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 
-from ._jsontext import dumps_indented, is_natural, loads
+from ._jsontext import array, is_natural, loads, obj
 from .errors import BudgetExceededError
 from .syntax import And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, atoms, children_first
 
@@ -424,7 +424,15 @@ def model_to_dict(m: Model, falsified_at: int | None = None) -> dict:
 
 
 def model_to_json(m: Model, falsified_at: int | None = None) -> str:
-    return dumps_indented(model_to_dict(m, falsified_at))
+    doc = model_to_dict(m, falsified_at)
+    pairs = [
+        ("worlds", array([str(w) for w in doc["worlds"]], "  ")),
+        ("rel", array([f"[\n      {x},\n      {y}\n    ]" for x, y in doc["rel"]], "  ")),
+        ("val", obj([(a, array([str(w) for w in ws], "    ")) for a, ws in doc["val"].items()], "  ")),
+    ]
+    if falsified_at is not None:
+        pairs.append(("falsifiedAt", str(falsified_at)))
+    return obj(pairs) + "\n"
 
 
 def model_from_dict(doc: dict) -> tuple[Model, int | None]:

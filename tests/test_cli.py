@@ -333,6 +333,20 @@ def test_every_budget_flag_answers_at_once(flag, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, at_zero", [
+    (["prove", "p", "--max-steps"], 1),  # refuting p takes no rule application
+    (["prove", "True", "--max-steps"], 3),
+    (["oracle", "p", "--max-worlds", "2", "--eval-budget"], 3),
+    (["henkin", "p", "--eval-budget"], 3),
+])
+def test_negative_budget_is_a_usage_error(argv, at_zero, capsys):
+    assert main([*argv, "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert main([*argv, "0"]) == at_zero
+    capsys.readouterr()
+
+
 def test_henkin_box_false(tmp_path):
     model_out = tmp_path / "m.json"
     worlds_out = tmp_path / "w.json"

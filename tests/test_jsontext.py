@@ -1,60 +1,73 @@
-"""The shared JSON certificate writer and loader: the bytes of
-``json.dumps(indent=2, sort_keys=True)``, without recursion."""
+"""The JSON certificate writers against ``json.dumps(indent=2,
+sort_keys=True)``, and the shared loader.  Models and the henkin sidecar are
+laid out from their documents by ``_jsontext.array`` and ``obj``, and
+structured derivations straight from the replay; each is compared with the
+standard library's rendering of the same document."""
 
 import json
-import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glprover import henkin
-from glprover._jsontext import dumps_indented
 from glprover.derivation import (
     INIT, LBOX, RBOXLOB, RIMP, STRUCTURED_MAX_DEPTH, Derivation, derivation_from_json, derivation_to_json,
 )
 from glprover.errors import BudgetExceededError
 from glprover.hilbert import proof_from_json
-from glprover.semantics import model_from_json, model_to_dict, model_to_json
+from glprover.semantics import Frame, Model, model_from_json, model_to_dict, model_to_json
 from glprover.sequent import Proved, search
-from glprover.syntax import parse
+from glprover.syntax import Atom, parse
 
 
 def stdlib(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-_AWKWARD = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "€", " ",
+_AWKWARD = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "€", " ",
                             "\U0001f600", "\ud800"])
-_TEXT = st.text(st.one_of(_AWKWARD, st.characters()), max_size=8)
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200), _TEXT)
-_VALUES = st.recursive(
-    _SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
-    max_leaves=40)
+_NAMES = st.text(_AWKWARD, max_size=4)  # atom names, the empty one included
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(_VALUES)
-def test_writer_matches_json_dumps(value):
-    assert dumps_indented(value) == stdlib(value)
+@st.composite
+def _models(draw):
+    """A model built directly: 0-12 worlds, any relation on them, atoms
+    unsorted and possibly repeated, some true nowhere; and the falsifying
+    world or None."""
+    worlds = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=12))
+    world = st.sampled_from(worlds) if worlds else st.nothing()
+    rel = draw(st.frozensets(st.tuples(world, world)))
+    val = tuple((name, draw(st.frozensets(world))) for name in draw(st.lists(_NAMES, max_size=5)))
+    falsified_at = draw(st.sampled_from([None, 0, *worlds]))
+    return Model(Frame(frozenset(worlds), rel), val), falsified_at
 
 
-@pytest.mark.parametrize("value", [1.5, (1, 2), {1, 2}, {1: "int key"}, [b"bytes"]])
-def test_writer_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        dumps_indented(value)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_models())
+@example((Model(Frame(frozenset(), frozenset())), None))
+@example((Model(Frame(frozenset(), frozenset())), 0))
+@example((Model(Frame(frozenset({0, 1}), frozenset({(0, 1)})),
+                (("q", frozenset()), ("\ud800", frozenset({1})), ("p", frozenset({0, 1})), ("q", frozenset({0})))), 0))
+def test_model_writer_is_the_stdlib_rendering(model_and_world):
+    m, w = model_and_world
+    assert model_to_json(m, w) == stdlib(model_to_dict(m, w))
 
 
-def test_writer_takes_any_depth():
-    depth = 2 * sys.getrecursionlimit()
-    doc: list = []
-    for _ in range(depth - 1):
-        doc = [doc]
-    with pytest.raises(RecursionError):
-        json.dumps(doc, indent=2)
-    expected = ("".join("[\n" + "  " * (k + 1) for k in range(depth - 1)) + "[]"
-                + "".join("\n" + "  " * k + "]" for k in reversed(range(depth - 1))) + "\n")
-    assert dumps_indented(doc) == expected
+def test_sidecar_writer_is_the_stdlib_rendering():
+    """Keys in string order: "10" before "2"."""
+    sm, _ = henkin.build_standard_model(parse("Box (p || q) --> Box p || Box q"))
+    assert len(sm.worlds) >= 11
+    text = henkin.world_lists_to_json(sm)
+    assert text == stdlib(henkin.world_lists_to_dict(sm))
+    assert text.index('"10": [') < text.index('"2": [')
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.lists(st.lists(_NAMES.map(Atom), max_size=4), max_size=12))
+def test_sidecar_writer_takes_any_names_and_empty_lists(lists):
+    sm = henkin.StandardModel(Atom("p"), tuple(map(tuple, lists)), Model(Frame(frozenset(), frozenset())))
+    assert henkin.world_lists_to_json(sm) == stdlib(henkin.world_lists_to_dict(sm))
 
 
 def test_certificates_are_the_stdlib_rendering(corpus):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import random_formula
-from glprover import semantics
+from glprover import derivation, semantics
 from glprover.derivation import _replay
 from glprover.errors import BudgetExceededError, InternalCheckError
 from glprover.henkin import consistent
@@ -16,7 +16,7 @@ from glprover.sequent import (
     Derivation, INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR,
     Proved, RAND, RBOXLOB, RIMP, RNOT, ROR, RTOP, Refuted, SequentState, TRANS, TWO_PREMISE_RULES,
     _Branch, _Reuse, _Searcher, check_derivation, derivation_error,
-    derivation_from_json, derivation_to_dot,
+    derivation_from_dict, derivation_from_json, derivation_to_dot,
     derivation_to_json, derivation_to_text, extract_countermodel, search,
 )
 from glprover.syntax import (
@@ -325,6 +325,32 @@ def test_derivation_json_malformed():
     doc["principal"] = [0, "p &&"]
     with pytest.raises(ValueError, match="malformed derivation document"):
         derivation_from_json(json.dumps(doc))
+    doc["principal"] = [0, ["p"]]  # not a text, and not hashable
+    with pytest.raises(ValueError, match="malformed derivation document"):
+        derivation_from_json(json.dumps(doc))
+
+
+def test_loader_parses_each_formula_text_once(monkeypatch):
+    """A prove-chains proof repeats its principals from node to node; the
+    loader parses each distinct text, the goal's included, exactly once."""
+    f = _lob_conj(6)
+    d = search(f).derivation
+    doc = json.loads(derivation_to_json(d, f))
+    texts, stack = {doc["sequent"]["right"][0][1]}, [doc]
+    while stack:
+        node = stack.pop()
+        texts.update(v for v in node["principal"] if isinstance(v, str))
+        stack.extend(node["premises"])
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(derivation, "parse", counting_parse)
+    assert derivation_from_dict(doc) == d
+    assert sorted(parsed) == sorted(texts)
+    assert len(texts) < sum(1 for _ in _replay(d, f))  # some text repeats
 
 
 def test_no_open_branch_contains_irreflexive_violation(corpus):

@@ -1,38 +1,17 @@
-"""The JSON certificates' layout, and their loader.
+"""The JSON certificates' text, and their loader.
 
-Every JSON certificate but a Hilbert proof has a fixed shape, so its writer
-lays each value out for its place and joins the texts with ``array`` and
-``obj``: models and the henkin sidecar from their documents, structured
-derivations straight from the replay.  The result is the text of
-``json.dumps(doc, indent=2, sort_keys=True)``; ``json.dumps`` uses its C
-encoder only without ``indent``, and with it runs a pure-Python encoder
-that passes each chunk up through one generator frame per nesting level.
+Every JSON certificate but a Hilbert proof is written as compact canonical
+JSON: ``dumps(doc) + "\\n"``, keys sorted, no whitespace.  Models and the
+henkin sidecar encode their documents with ``dumps``, whose encoder is built
+once rather than per call; structured derivations are written straight from
+the replay, in the same text.  The loaders read any layout.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _quote
 
-
-def array(items: list[str], pad: str = "") -> str:
-    """The JSON array of the texts ``items``, each laid out for its place,
-    for an array whose own line is indented by ``pad``."""
-    if not items:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
-
-
-def obj(pairs: list[tuple[str, str]], pad: str = "") -> str:
-    """The JSON object of the ``(key, text)`` pairs, keys in string order as
-    ``sort_keys`` orders them, each text laid out for its place, for an
-    object whose own line is indented by ``pad``."""
-    if not pairs:
-        return "{}"
-    inner = "\n" + pad + "  "
-    members = [f"{_quote(key)}: {text}" for key, text in sorted(pairs)]
-    return "{" + inner + ("," + inner).join(members) + "\n" + pad + "}"
+dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def loads(text: str):

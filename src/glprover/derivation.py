@@ -11,9 +11,9 @@ found.
 The serializers write straight from the replay.  Consecutive sequents mostly
 share their sides, so each writer call prints every formula, labelled
 formula and sequent side once and reuses the text.  The structured writer
-lays each node's text out as if the node stood at the left margin and
-shifts it into place with one replace; the loader compares the document
-with that text stripped of its layout.
+writes compact canonical JSON, in which a node's text does not depend on
+its depth, so the document grows linearly with the proof; the loader
+compares that text with the compact encoding of the document it read.
 
 The checker states the eleven rules whose principal is one labelled formula
 x:A (Init, LBot, RTop and the eight propositional rules) as one table, a row
@@ -26,12 +26,10 @@ rules, so a slip in either one shows as a proof the checker rejects.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
-from ._jsontext import array, is_natural, loads
+from ._jsontext import dumps, is_natural, loads
 from .syntax import And, Box, Falsum, Formula, Iff, Imp, Not, Or, ParseError, Verum, parse, pretty, sort_key
 
 # Rule identifiers.  Leaves: Init, LBot, Irref, plus RTop (a sequent with x:True
@@ -47,10 +45,9 @@ LEAF_RULES = (INIT, LBOT, IRREF, RTOP)
 TWO_PREMISE_RULES = (RAND, LOR, LIMP)
 
 # The deepest node a structured (JSON) derivation document holds, in premises
-# below the root.  Its text indents two levels per rule, so it grows with the
-# square of the depth; and ``json.loads``, which reads it back, recurses once
-# per JSON level.  494 is the depth ``json.dumps(indent=2)`` reached under the
-# default recursion limit when it wrote these documents.
+# below the root: ``json.loads``, which reads it back, recurses once per JSON
+# level.  494 is the depth ``json.dumps(indent=2)`` reached under the default
+# recursion limit when it wrote these documents.
 STRUCTURED_MAX_DEPTH = 494
 
 LabelledFormula = tuple[int, Formula]
@@ -238,46 +235,43 @@ def _principal_from_list(rule: str, raw: list, formulas: _Memo) -> tuple:
 
 
 def _structured_pieces(d: Derivation, goal: Formula):
-    """Yield the structured document of a derivation of ``=> 0:goal`` as
-    ``(depth, text)`` pieces, in order: ``text`` is laid out as if its node
-    stood at the left margin, and belongs 4 * ``depth`` spaces further right
-    after each newline.  The text is ``json.dumps(doc, indent=2,
-    sort_keys=True) + "\\n"`` of the nested document ``{"premises",
-    "principal", "rule", "sequent": {"left", "rel", "right"}}``, so a node's
-    premises come before its own text, which is written once its subtree is
-    closed.  ValueError if a node lies deeper than ``STRUCTURED_MAX_DEPTH``."""
+    """Yield the structured document of a derivation of ``=> 0:goal`` as text
+    pieces, in order.  Joined, they are ``dumps(doc)`` of the nested document
+    ``{"premises", "principal", "rule", "sequent": {"left", "rel", "right"}}``,
+    so a node's premises come before its own text, which is written once its
+    subtree is closed.  ValueError if a node lies deeper than
+    ``STRUCTURED_MAX_DEPTH``."""
     texts = _Memo(lambda f: _quote(pretty(f)))
-    items = _Memo(lambda lf: f"[\n        {lf[0]},\n        {texts[lf[1]]}\n      ]")
-    sides = _Memo(lambda side: array([items[lf] for lf in sorted(side, key=_lf_key)], "    "))
-    rels = _Memo(lambda rel: array([f"[\n        {x},\n        {y}\n      ]" for x, y in sorted(rel)], "    "))
+    items = _Memo(lambda lf: f"[{lf[0]},{texts[lf[1]]}]")
+    sides = _Memo(lambda side: "[" + ",".join([items[lf] for lf in sorted(side, key=_lf_key)]) + "]")
+    rels = _Memo(lambda rel: "[" + ",".join([f"[{x},{y}]" for x, y in sorted(rel)]) + "]")
     closing: list[str] = []  # the closing text of each open node with premises, root first
-    separator = ""  # before the next node: none at the root, then a newline, a comma after a sibling
+    separator = ""  # before the next node: a comma after a sibling, else none
     for depth, node, s in _replay(d, goal):
         if depth > STRUCTURED_MAX_DEPTH:
             raise ValueError(f"derivation deeper than {STRUCTURED_MAX_DEPTH} levels")
         while len(closing) > depth:  # the subtrees ending here, deepest first
-            yield len(closing) - 1, closing.pop()
-            separator = ",\n"
-        principal = ",\n    ".join([texts[v] if isinstance(v, Formula) else str(v) for v in node.principal])
-        own = (f'\n  "principal": [\n    {principal}\n  ],\n  "rule": {_quote(node.rule)},\n  "sequent": {{'
-               f'\n    "left": {sides[s.left]},\n    "rel": {rels[s.rel]},\n    "right": {sides[s.right]}\n  }}\n}}')
+            yield closing.pop()
+            separator = ","
+        principal = ",".join([texts[v] if isinstance(v, Formula) else str(v) for v in node.principal])
+        own = (f'"principal":[{principal}],"rule":{_quote(node.rule)},"sequent":'
+               f'{{"left":{sides[s.left]},"rel":{rels[s.rel]},"right":{sides[s.right]}}}}}')
         if node.premises:
-            yield depth, separator + '{\n  "premises": ['
-            closing.append("\n  ]," + own)
-            separator = "\n"
+            yield separator + '{"premises":['
+            closing.append("]," + own)
+            separator = ""
         else:
-            yield depth, separator + '{\n  "premises": [],' + own
-            separator = ",\n"
+            yield separator + '{"premises":[],' + own
+            separator = ","
     while closing:
-        yield len(closing) - 1, closing.pop()
-    yield 0, "\n"
+        yield closing.pop()
 
 
 def derivation_to_json(d: Derivation, goal: Formula) -> str:
     """Structured (JSON) document of a derivation of ``=> 0:goal``, with
-    replayed sequents; ValueError if a node lies deeper than
-    ``STRUCTURED_MAX_DEPTH``."""
-    return "".join([text.replace("\n", "\n" + "    " * depth) for depth, text in _structured_pieces(d, goal)])
+    replayed sequents, as compact canonical JSON; ValueError if a node lies
+    deeper than ``STRUCTURED_MAX_DEPTH``."""
+    return "".join(_structured_pieces(d, goal)) + "\n"
 
 
 def _tree_from_dict(doc: dict, formulas: _Memo) -> Derivation:
@@ -300,11 +294,8 @@ def derivation_from_dict(doc: dict) -> Derivation:
     try:
         goal = formulas[doc["sequent"]["right"][0][1]]
         d = _tree_from_dict(doc, formulas)
-        # compared as JSON text without its layout, where 0, 0.0 and false
-        # differ; each piece is stripped as it comes, so the rendering's
-        # indentation is never held whole
-        written = "".join([re.sub(r"\n *", "", text) for _, text in _structured_pieces(d, goal)])
-        if written != json.dumps(doc, sort_keys=True, separators=(",", ": ")):
+        # compared as compact JSON text, where 0, 0.0 and false differ
+        if "".join(_structured_pieces(d, goal)) != dumps(doc):
             raise ValueError("the stated sequents are not the replayed ones")
     except (KeyError, TypeError, IndexError, ValueError, ParseError, RecursionError) as exc:
         raise ValueError(f"malformed derivation document: {exc}") from None

@@ -22,9 +22,8 @@ sees the survivors among which elimination sought its witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 
-from ._jsontext import array, obj
+from ._jsontext import dumps
 from .errors import BudgetExceededError, InternalCheckError
 from .hilbert import conjlist
 from .semantics import Model, _eval_mask, _truth_masks, is_itf, make_model
@@ -237,4 +236,4 @@ def world_lists_to_dict(sm: StandardModel) -> dict:
 
 def world_lists_to_json(sm: StandardModel) -> str:
     """The sidecar document as the text ``glprover henkin --emit-worlds`` writes."""
-    return obj([(i, array([_quote(q) for q in lst], "  ")) for i, lst in world_lists_to_dict(sm).items()]) + "\n"
+    return dumps(world_lists_to_dict(sm)) + "\n"

@@ -226,9 +226,9 @@ def proof_to_dict(pf: HilbertProof) -> dict:
 
 
 def proof_to_json(pf: HilbertProof) -> str:
-    # keys in insertion order ("kind" first), unlike the sorted keys of the
-    # other certificates (laid out by ``_jsontext.array`` and ``obj``); a
-    # proof is shallow, so json's pure-Python indent encoder costs little here
+    # indented, keys in insertion order ("kind" first), unlike the compact
+    # sorted text of the other certificates (``_jsontext.dumps``); a proof is
+    # shallow, so json's pure-Python indent encoder costs little here
     return json.dumps(proof_to_dict(pf), indent=2) + "\n"
 
 

@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 
-from ._jsontext import array, is_natural, loads, obj
+from ._jsontext import dumps, is_natural, loads
 from .errors import BudgetExceededError
 from .syntax import And, Atom, Box, Falsum, Formula, Iff, Imp, Not, Or, Verum, atoms, children_first
 
@@ -409,8 +409,8 @@ def oracle_valid(f: Formula, max_worlds: int, eval_budget: int = DEFAULT_EVAL_BU
 #
 # A single JSON document:  {"worlds": [naturals], "rel": [[x, y], ...],
 # "val": {atom: [worlds where true]}}.  Canonical form sorts all arrays
-# ascending and object keys alphabetically.  An optional "falsifiedAt" field
-# accompanies countermodels.
+# ascending and object keys alphabetically, and is compact JSON.  An optional
+# "falsifiedAt" field, one of the worlds, accompanies countermodels.
 
 def model_to_dict(m: Model, falsified_at: int | None = None) -> dict:
     doc: dict = {
@@ -424,15 +424,7 @@ def model_to_dict(m: Model, falsified_at: int | None = None) -> dict:
 
 
 def model_to_json(m: Model, falsified_at: int | None = None) -> str:
-    doc = model_to_dict(m, falsified_at)
-    pairs = [
-        ("worlds", array([str(w) for w in doc["worlds"]], "  ")),
-        ("rel", array([f"[\n      {x},\n      {y}\n    ]" for x, y in doc["rel"]], "  ")),
-        ("val", obj([(a, array([str(w) for w in ws], "    ")) for a, ws in doc["val"].items()], "  ")),
-    ]
-    if falsified_at is not None:
-        pairs.append(("falsifiedAt", str(falsified_at)))
-    return obj(pairs) + "\n"
+    return dumps(model_to_dict(m, falsified_at)) + "\n"
 
 
 def model_from_dict(doc: dict) -> tuple[Model, int | None]:
@@ -458,6 +450,8 @@ def model_from_dict(doc: dict) -> tuple[Model, int | None]:
     falsified_at = doc.get("falsifiedAt")
     if falsified_at is not None and not is_natural(falsified_at):
         raise ValueError("'falsifiedAt' must be a natural")
+    if falsified_at is not None and falsified_at not in worlds:
+        raise ValueError("'falsifiedAt' must be one of the worlds")
     model = make_model(worlds, ((x, y) for x, y in rel), {a: ws for a, ws in val.items()})
     return model, falsified_at
 

@@ -1,8 +1,8 @@
-"""The JSON certificate writers against ``json.dumps(indent=2,
-sort_keys=True)``, and the shared loader.  Models and the henkin sidecar are
-laid out from their documents by ``_jsontext.array`` and ``obj``, and
-structured derivations straight from the replay; each is compared with the
-standard library's rendering of the same document."""
+"""The JSON certificate writers against the compact canonical rendering
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, and the shared
+loader.  Models and the henkin sidecar are encoded from their documents, and
+structured derivations written straight from the replay; each is compared
+with the standard library's rendering of the same document."""
 
 import json
 
@@ -22,7 +22,7 @@ from glprover.syntax import Atom, parse
 
 
 def stdlib(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 _AWKWARD = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "€", " ",
@@ -60,7 +60,7 @@ def test_sidecar_writer_is_the_stdlib_rendering():
     assert len(sm.worlds) >= 11
     text = henkin.world_lists_to_json(sm)
     assert text == stdlib(henkin.world_lists_to_dict(sm))
-    assert text.index('"10": [') < text.index('"2": [')
+    assert text.index('"10":[') < text.index('"2":[')
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -101,7 +101,7 @@ def _repeated_lbox(n: int):
     """A derivation of ``Box p --> Box p`` with its Init leaf n premises
     below the root: RImp, RBoxLob, then n - 2 copies of one LBox step, which
     the schema allows although it changes nothing.  Every sequent is small,
-    so the text stays near 19 MB at n = 494."""
+    so the text stays near 70 KB at n = 494."""
     goal, box_p, p = parse("Box p --> Box p"), parse("Box p"), parse("p")
     node = Derivation(INIT, (1, p))
     for _ in range(n - 2):
@@ -111,17 +111,20 @@ def _repeated_lbox(n: int):
 
 def test_structured_depth_limit():
     """494 levels, the depth json.dumps(indent=2) wrote under the default
-    recursion limit, are kept; 495 are refused before any text is returned."""
+    recursion limit, are kept, in a text linear in the depth; 495 are
+    refused before any text is returned."""
     assert STRUCTURED_MAX_DEPTH == 494
+    text = derivation_to_json(*_repeated_lbox(494))
+    assert len(text.encode()) < 100_000
     # read from the text, since json.loads under the test runner's stack
-    # would exceed the recursion limit: a node's line holds its opening brace
-    # alone, indented 4 spaces a level, and its rule follows its premises
-    lines = derivation_to_json(*_repeated_lbox(494)).splitlines()
-    assert [len(line) - 1 for line in lines if line.lstrip() == "{"] == [4 * k for k in range(495)]
-    rules = [((len(line) - len(line.lstrip()) - 2) // 4, line.strip()) for line in lines if '"rule": ' in line]
-    assert rules == ([(494, '"rule": "Init",')] + [(k, '"rule": "LBox",') for k in range(493, 1, -1)]
-                     + [(1, '"rule": "RBoxLob",'), (0, '"rule": "RImp",')])
-    assert [line for line in lines if '"premises": []' in line] == [" " * (4 * 494 + 2) + '"premises": [],']
+    # would exceed the recursion limit: each node opens with its first premise,
+    # one level deeper than its parent's, down to the Init leaf at 494, and
+    # its rule follows its premises
+    opened = text.split('{"premises":[')
+    assert opened[:-1] == [""] * 495 and opened[-1].startswith('],"principal":[1,"p"],"rule":"Init",')
+    rules = [piece.split('"', 1)[0] for piece in text.split('"rule":"')[1:]]
+    assert rules == ["Init"] + ["LBox"] * 492 + ["RBoxLob", "RImp"]
+    assert text.count('{"premises":[]') == 1 and text.endswith("}\n") and "\n" not in text[:-1]
     with pytest.raises(ValueError, match="deeper than 494 levels"):
         derivation_to_json(*_repeated_lbox(495))
 

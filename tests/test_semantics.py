@@ -300,7 +300,8 @@ def test_model_json_requires_naturals():
                 '{"worlds": [0, 1], "rel": [], "val": {"p": [false]}}',
                 '{"worlds": [0.0], "rel": [], "val": {}}',
                 '{"worlds": [0], "rel": [], "val": {}, "falsifiedAt": -3}',
-                '{"worlds": [0], "rel": [], "val": {}, "falsifiedAt": false}'):
+                '{"worlds": [0], "rel": [], "val": {}, "falsifiedAt": false}',
+                '{"worlds": [0], "rel": [], "val": {}, "falsifiedAt": 5}'):
         with pytest.raises(ValueError):
             model_from_json(bad)
     assert model_from_json('{"worlds": [1], "rel": [], "val": {"p": [1]}, "falsifiedAt": 1}')[1] == 1

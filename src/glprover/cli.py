@@ -184,8 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_formula_args(p)
     p.add_argument("--emit-proof", metavar="PATH", help="write the derivation to PATH ('-' for stdout)")
     p.add_argument("--emit-countermodel", metavar="PATH", help="write the countermodel to PATH ('-' for stdout)")
-    p.add_argument("--format", choices=("text", "structured", "graph"), default="text")
-    p.add_argument("--max-steps", type=int, default=sequent.DEFAULT_MAX_STEPS)
+    p.add_argument("--format", choices=("text", "structured", "graph"), default="text",
+                   help="derivation as indented text, structured JSON or graph (DOT, also for the countermodel)")
+    p.add_argument("--max-steps", type=int, default=sequent.DEFAULT_MAX_STEPS,
+                   help="rule applications, plus proof nodes and countermodel worlds written from the search's cache")
 
     p = sub.add_parser("check-model", help="check a formula in a model file")
     p.add_argument("model", help="model file (JSON)")
@@ -194,8 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive bounded ITF validity check")
     add_formula_args(p)
-    p.add_argument("--max-worlds", type=int, required=True)
-    p.add_argument("--eval-budget", type=int, default=semantics.DEFAULT_EVAL_BUDGET)
+    p.add_argument("--max-worlds", type=int, required=True,
+                   help="check every ITF frame with 1 to this many worlds")
+    p.add_argument("--eval-budget", type=int, default=semantics.DEFAULT_EVAL_BUDGET,
+                   help="refuse when 2^(n^2-n) * 2^(atoms*n) * n, summed over world counts n, exceeds this ceiling")
     p.add_argument("--emit-countermodel", metavar="PATH")
 
     p = sub.add_parser("henkin", help="standard countermodel from maximal consistent lists")

@@ -46,8 +46,9 @@ TWO_PREMISE_RULES = (RAND, LOR, LIMP)
 
 # The deepest node a structured (JSON) derivation document holds, in premises
 # below the root: ``json.loads``, which reads it back, recurses once per JSON
-# level.  494 is the depth ``json.dumps(indent=2)`` reached under the default
-# recursion limit when it wrote these documents.
+# level.  A node at depth k is an object at JSON level 2k + 1 and its sequent's
+# pairs are at 2k + 4, so 494 premises are 992 JSON levels: under the default
+# recursion limit the loader reads that from a top-level call, not one deeper.
 STRUCTURED_MAX_DEPTH = 494
 
 LabelledFormula = tuple[int, Formula]

@@ -10,14 +10,15 @@ one model; `holds`, `truth_sets` and the countermodel and truth-lemma checks
 read the bits of its masks.  This module also provides the frame-class
 predicates for GL (irreflexive transitive finite, and transitive Noetherian
 restricted to finite frames) and an exhaustive bounded validity oracle,
-which generates the ITF frames directly as strict partial orders and
-evaluates them in batches, up to VALUATION_SLICE frame-valuation pairs per
-evaluator pass.  Bisimulations live in `glprover.bisimulation`.
+which generates the ITF frames directly as strict partial orders, each as
+its tuple of predecessor masks, and evaluates them in batches, up to
+VALUATION_SLICE frame-valuation pairs per evaluator pass.  Bisimulations
+live in `glprover.bisimulation`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -168,9 +169,9 @@ def holds(m: Model, f: Formula, w: int) -> bool:
 VALUATION_SLICE = 1 << 10
 
 
-def _first_failure(f: Formula, names: list[str], preds: list[list[int]]):
+def _first_failure(f: Formula, names: list[str], preds: list[Sequence[int]]):
     """The first failure of ``f`` on frames on the same n worlds, given as
-    their predecessor lists (``preds[s][k]`` is the mask of the worlds that
+    their predecessor masks (``preds[s][k]`` is the mask of the worlds that
     see world k in frame s): the least frame index s, then the least
     valuation v of ``names`` by index (atom i is true at world w iff bit
     i*n + w of v is set) under which ``f`` is false somewhere in frame s, and
@@ -307,21 +308,21 @@ def enumerate_frames(n: int):
 
 
 def enumerate_itf_frames(n: int):
-    """All ITF frames (strict partial orders) on worlds 0..n-1, ascending by
-    relation bitmask over the lexicographic ordering of the pairs (x, y) with
-    x != y, generated without filtering.
+    """All ITF frames (strict partial orders) on worlds 0..n-1, each as the
+    tuple of its predecessor masks (bit x of entry y is set when x sees y),
+    ascending by relation bitmask over the lexicographic ordering of the
+    pairs (x, y) with x != y, generated without filtering.
 
     Ascending mask is ascending (succ[n-1], ..., succ[0]), each successor set
     read as a bitmask, so the rows nest like loops, row n-1 outermost.  Given
     the rows above it, row x admits the sets that avoid x, lie inside
     succ[a] for each a that sees x, and contain succ[y] for each member y;
     the rows below it are chosen inside the rows that see them, so every
-    choice completes to an order.  A row's pairs are built once per call for
-    each set it takes, and a frame's relation is the pairs of its rows."""
+    choice completes to an order."""
     if n < 1:
         return  # an ITF frame has a world
-    worlds, full = frozenset(range(n)), (1 << n) - 1
-    succ, pairs = [0] * n, [{} for _ in range(n)]
+    full = (1 << n) - 1
+    succ = [0] * n
 
     def admissible(x):
         bound = full & ~(1 << x)
@@ -336,30 +337,27 @@ def enumerate_itf_frames(n: int):
                 if sub & bit:
                     need |= below
             if not need & ~sub:
-                row = pairs[x].get(sub)
-                if row is None:
-                    row = pairs[x][sub] = tuple((x, y) for y in range(n) if sub >> y & 1)
-                sets.append((sub, row))
+                sets.append(sub)
             if sub == bound:
                 return sets
             sub = (sub - bound) & bound
 
-    high = [()] * (n + 1)  # high[x]: the pairs of the rows from x up
+    high = [(0,) * n] * (n + 1)  # high[x]: the predecessor masks of the rows from x up
     rows = [iter(())] * n
     x = n - 1
     rows[x] = iter(admissible(x))
     while x < n:
-        choice = next(rows[x], None)
-        if choice is None:
+        sub = next(rows[x], None)
+        if sub is None:
             x += 1
             continue
-        succ[x], row = choice
-        high[x] = high[x + 1] + row
+        succ[x] = sub
+        high[x] = tuple(p | (sub >> y & 1) << x for y, p in enumerate(high[x + 1]))
         if x:
             x -= 1
             rows[x] = iter(admissible(x))
         else:
-            yield Frame(worlds, frozenset(high[0]))
+            yield high[0]
 
 
 def oracle_valid(f: Formula, max_worlds: int, eval_budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
@@ -387,12 +385,7 @@ def oracle_valid(f: Formula, max_worlds: int, eval_budget: int = DEFAULT_EVAL_BU
         frames = enumerate_itf_frames(n)
         most, size = max(1, VALUATION_SLICE >> (len(names) * n)), 1
         while True:
-            preds = []  # a batch keeps its frames as predecessor masks only
-            for fr in islice(frames, size):
-                pred = [0] * n
-                for x, y in fr.rel:
-                    pred[y] |= 1 << x
-                preds.append(pred)
+            preds = list(islice(frames, size))
             if not preds:
                 break
             failure = _first_failure(f, names, preds)

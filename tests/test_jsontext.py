@@ -110,9 +110,9 @@ def _repeated_lbox(n: int):
 
 
 def test_structured_depth_limit():
-    """494 levels, the depth json.dumps(indent=2) wrote under the default
-    recursion limit, are kept, in a text linear in the depth; 495 are
-    refused before any text is returned."""
+    """494 levels, 992 JSON levels, which the loader reads under the default
+    recursion limit from a top-level call, are kept, in a text linear in the
+    depth; 495 are refused before any text is returned."""
     assert STRUCTURED_MAX_DEPTH == 494
     text = derivation_to_json(*_repeated_lbox(494))
     assert len(text.encode()) < 100_000

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from collections import Counter
@@ -103,6 +104,13 @@ def test_itf_report_messages_and_order():
     assert itf_report(Frame(frozenset(), frozenset())) == ["world set is empty"]
 
 
+def frame_of(pred):
+    """The Frame whose predecessor masks are ``pred``, as
+    ``enumerate_itf_frames`` yields them: x sees y when bit x of pred[y] is set."""
+    n = len(pred)
+    return Frame(frozenset(range(n)), frozenset((x, y) for y, p in enumerate(pred) for x in range(n) if p >> x & 1))
+
+
 def reference_transitivity_violations(fr):
     """The pair-by-world scan: xRy and yRz without xRz."""
     return [(2, x, y, z) for x, y in fr.rel for z in fr.worlds
@@ -121,7 +129,7 @@ def test_transitivity_violations_match_the_pair_by_world_scan():
         if rng.random() < 0.3:  # reflexive everywhere
             rel |= {(x, x) for x in worlds}
         frames.append(Frame(frozenset(worlds), frozenset(rel)))
-    frames += list(enumerate_itf_frames(4))
+    frames += map(frame_of, enumerate_itf_frames(4))
     kinds = Counter()
     for fr in frames:
         found = list(semantics._transitivity_violations(fr))
@@ -141,8 +149,8 @@ def test_is_transnt_finite_examples():
 
 def test_itf_implies_transnt_small():
     for n in (1, 2, 3):
-        for fr in enumerate_itf_frames(n):
-            assert is_transnt_finite(fr)
+        for pred in enumerate_itf_frames(n):
+            assert is_transnt_finite(frame_of(pred))
 
 
 def test_oracle_valid_verum():
@@ -280,10 +288,10 @@ def test_model_json_roundtrip_and_canonical():
     m2, fa = model_from_json(text)
     assert m2 == m and fa == 0
     assert model_to_json(m2, fa) == text  # idempotent re-serialization
-    # arrays are sorted ascending
-    doc_lines = text.splitlines()
     assert text.index('"falsifiedAt"') < text.index('"rel"') < text.index('"val"')
-    assert doc_lines  # canonical form is line-structured JSON
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    # the out-of-order inputs come back sorted ascending
+    assert '"rel":[[0,1],[0,2]]' in text and '"p":[1,2]' in text
 
 
 def test_model_json_malformed():
@@ -358,14 +366,14 @@ def _relation_mask(fr):
 
 def test_itf_frames_equal_the_filtered_enumeration():
     for n in range(1, 5):
-        assert list(enumerate_itf_frames(n)) == list(reference_itf_frames(n))
+        assert list(map(frame_of, enumerate_itf_frames(n))) == list(reference_itf_frames(n))
 
 
 def test_itf_frames_are_the_labelled_strict_partial_orders():
     # OEIS A001035: 1, 3, 19, 219, 4231 strict partial orders on 1..5 points.
     # Distinct, all ITF, and as many as there are: every one, once.
     for n, count in zip(range(1, 6), (1, 3, 19, 219, 4231)):
-        frames = list(enumerate_itf_frames(n))
+        frames = list(map(frame_of, enumerate_itf_frames(n)))
         masks = [_relation_mask(fr) for fr in frames]
         assert len(frames) == count
         assert all(a < b for a, b in zip(masks, masks[1:]))
@@ -445,26 +453,36 @@ def test_oracle_equals_reference_at_four_worlds():
 
 def test_oracle_draws_its_frames_through_the_module(monkeypatch):
     # The oracle looks enumerate_itf_frames up on the module when it runs, so
-    # a wrapper installed there sees every frame it reads.
+    # a wrapper installed there sees every frame it reads.  It evaluates them
+    # as predecessor masks: the witness is the only Frame it builds, through
+    # make_model, which looks Frame up on the module too.
     counts = Counter()
 
     def counting(n):
-        for fr in enumerate_itf_frames(n):
+        for pred in enumerate_itf_frames(n):
             counts[n] += 1
-            yield fr
+            yield pred
+
+    def counting_frame(*args):
+        counts["Frame"] += 1
+        return Frame(*args)
 
     monkeypatch.setattr(semantics, "enumerate_itf_frames", counting)
+    monkeypatch.setattr(semantics, "Frame", counting_frame)
     assert oracle_valid(LOB, 4) == ValidUpTo(4)
     assert [counts[n] for n in range(1, 5)] == [1, 3, 19, 219]
+    assert counts["Frame"] == 0
     for f in FOUR_WORLD_FORMULAS:
         counts.clear()
         verdict = oracle_valid(f, 4)
         if isinstance(verdict, ValidUpTo):
             assert [counts[n] for n in range(1, 5)] == [1, 3, 19, 219]
+            assert counts["Frame"] == 0, f
             continue
+        assert counts.pop("Frame") == 1, f
         n = len(verdict.model.frame.worlds)
         below = sum(1 for m in range(1, n) for _ in enumerate_itf_frames(m))
-        upto = [fr.rel for fr in enumerate_itf_frames(n)].index(verdict.model.frame.rel) + 1
+        upto = [frame_of(pred).rel for pred in enumerate_itf_frames(n)].index(verdict.model.frame.rel) + 1
         assert below + upto <= sum(counts.values()) <= 2 * (below + upto), f
 
 

@@ -19,6 +19,7 @@ from glprover.hilbert import proof_to_json, verum_proof
 from glprover.semantics import holds, is_itf, model_from_json, model_to_json
 from glprover.sequent import check_derivation, derivation_from_json, derivation_to_json
 from glprover.syntax import FALSE, TRUE, And, Atom, Box, Formula, Iff, Imp, Not, Or, parse, pretty, subformulas
+from test_sequent import PROVE_CHAINS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROOF_DIR = ROOT / "proofs"
@@ -604,20 +605,21 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert _cli_outputs("0", tmp_path) == _cli_outputs("7", tmp_path)
 
 
-# Runs ``prove`` on each formula of a file in one interpreter, after
-# allocating argv[2] objects of assorted sizes, and prints one digest of
-# every exit code, verdict line and certificate.
+# Runs ``prove`` on each line ``max_steps formula`` of a file in one
+# interpreter, after allocating argv[2] objects of assorted sizes, and prints
+# one digest of every exit code, verdict line, error message and certificate.
 _PROVE_ALL = """
 import contextlib, hashlib, io, os, sys
 ballast = [bytearray(k % 97) for k in range(int(sys.argv[2]))]
 from glprover.cli import main
 digest = hashlib.sha256()
-for text in open(sys.argv[1]).read().splitlines():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["prove", text, "--max-steps", "6000", "--format", "structured",
+for line in open(sys.argv[1]).read().splitlines():
+    max_steps, text = line.split(" ", 1)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["prove", text, "--max-steps", max_steps, "--format", "structured",
                      "--emit-proof", "proof", "--emit-countermodel", "model"])
-    digest.update(f"{code} {out.getvalue()}".encode())
+    digest.update(f"{code} {out.getvalue()} {err.getvalue()}".encode())
     for name in ("proof", "model"):
         if os.path.exists(name):
             digest.update(open(name, "rb").read())
@@ -625,20 +627,29 @@ for text in open(sys.argv[1]).read().splitlines():
 print(digest.hexdigest())
 """
 
+# The digest of every certificate the search writes for the formulas below.
+# A change that alters a certificate, a verdict or a budget message on
+# purpose updates it and says so in CHANGES.md.
+CERTIFICATES_DIGEST = "8eda3cf4dbe5ebebfc5e080f433eaa60ce6786d3c73bd5865726cec921310a9f"
 
-def test_certificates_do_not_depend_on_memory_addresses(tmp_path, tier_formulas):
+
+def test_certificates_do_not_depend_on_memory_addresses(tmp_path, tier_formulas, corpus):
     # formulas hash by identity, so a set of them iterates in an order that
     # follows memory addresses: two fresh interpreters with different hash
     # seeds and different allocations before the run must write the same
-    # certificates for the 180 benchmark formulas
-    (tmp_path / "formulas").write_text("\n".join(pretty(f) for f in tier_formulas))
+    # certificates, the ones pinned above, for the 180 benchmark formulas at
+    # the benchmark's budget, the corpus and the prove-chains formulas
+    lines = [f"6000 {pretty(f)}" for f in tier_formulas]
+    lines += [f"{sequent.DEFAULT_MAX_STEPS} {pretty(f)}" for f in corpus + PROVE_CHAINS]
+    (tmp_path / "formulas").write_text("\n".join(lines))
     digests = []
     for seed, ballast in (("1", "0"), ("2", "5003")):
         run = subprocess.run([sys.executable, "-c", _PROVE_ALL, "formulas", ballast], cwd=tmp_path,
                              capture_output=True, text=True, env=_module_env(PYTHONHASHSEED=seed), timeout=120)
         assert run.returncode == 0, run.stderr
-        digests.append(run.stdout)
+        digests.append(run.stdout.strip())
     assert digests[0] == digests[1]
+    assert digests[0] == CERTIFICATES_DIGEST
 
 
 def test_prove_budget_message_says_where_the_steps_went(capsys):

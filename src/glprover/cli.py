@@ -56,18 +56,18 @@ class _UsageError(Exception):
 def _read_formula(args) -> Formula:
     text = args.formula
     if text is None and args.file:
-        with open(args.file) as fh:
-            text = fh.read().strip()
+        text = _read_certificate(args.file, str.strip, "formula file")
     if text is None:
         raise _UsageError("no formula given (inline argument or --file)")
     return parse(text)
 
 
 def _read_certificate(path: str, load, what: str):
-    """``load`` applied to the text of the file ``path``; a file that cannot
-    be read or loaded is a usage error, ``cannot read {what}: ...``."""
+    """``load`` applied to the text of the file ``path``, the one reader of
+    input files; a file that cannot be read or loaded, or is not UTF-8, is
+    a usage error, ``cannot read {what}: ...``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return load(fh.read())
     except (OSError, ValueError, ParseError) as exc:
         raise _UsageError(f"cannot read {what}: {exc}") from None
@@ -191,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-model", help="check a formula in a model file")
     p.add_argument("model", help="model file (JSON)")
-    p.add_argument("formula")
-    p.add_argument("world", type=int)
+    p.add_argument("formula", help="formula in concrete syntax")
+    p.add_argument("world", type=int, help="the world of the model to evaluate the formula at")
 
     p = sub.add_parser("oracle", help="exhaustive bounded ITF validity check")
     add_formula_args(p)
@@ -200,22 +200,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check every ITF frame with 1 to this many worlds")
     p.add_argument("--eval-budget", type=int, default=semantics.DEFAULT_EVAL_BUDGET,
                    help="refuse when 2^(n^2-n) * 2^(atoms*n) * n, summed over world counts n, exceeds this ceiling")
-    p.add_argument("--emit-countermodel", metavar="PATH")
+    p.add_argument("--emit-countermodel", metavar="PATH",
+                   help="write the countermodel to PATH (default: stdout)")
 
     p = sub.add_parser("henkin", help="standard countermodel from maximal consistent lists")
     add_formula_args(p)
     p.add_argument("--eval-budget", type=int, default=henkin.DEFAULT_CANDIDATE_BUDGET,
                    help="refuse when 2^(atoms + Box subformulas), the number of types that "
                         "elimination decides, exceeds this ceiling")
-    p.add_argument("--emit-model", metavar="PATH")
+    p.add_argument("--emit-model", metavar="PATH", help="write the standard model to PATH ('-' for stdout)")
     p.add_argument("--emit-worlds", metavar="PATH", help="write the index-to-list sidecar")
 
     p = sub.add_parser("bisim", help="largest bisimulation between two model files")
-    p.add_argument("model_a")
-    p.add_argument("model_b")
+    p.add_argument("model_a", help="first model file (JSON)")
+    p.add_argument("model_b", help="second model file (JSON)")
 
     p = sub.add_parser("check-proof", help="check a Hilbert-style proof file")
-    p.add_argument("proof")
+    p.add_argument("proof", help="proof file (JSON)")
 
     return parser
 

@@ -94,7 +94,7 @@ from heapq import heappop, heappush
 from .derivation import (  # noqa: F401 -- re-exported: the CLI reaches them here
     INIT, IRREF, LAND, LBOT, LBOX, LEAF_RULES, LIMP, LNOT, LOR, RAND, RBOXLOB, RIMP,
     RNOT, ROR, RTOP, TRANS, TWO_PREMISE_RULES, Derivation, LabelledFormula, RelAtom,
-    SequentState, _components, _lf_key, check_derivation, derivation_error,
+    SequentState, _components, check_derivation, derivation_error,
     derivation_from_dict, derivation_from_json, derivation_to_dot,
     derivation_to_json, derivation_to_text,
 )
@@ -154,39 +154,42 @@ _PRINCIPAL_SIDE = ({rule: on_left for rule, (on_left, _, _) in _PROP_RULES.items
 class _Branch:
     """Mutable working state of one search branch: the active label's part of
     its sequent and the agenda, a heap and a sequence, that candidate
-    selection reads instead of scanning the sequent.  No record of applied instances is needed: no
-    instance goes stale, and a Trans step needs no bookkeeping, since the
-    sequence holds every left-box step it enables (module docstring).
+    selection reads instead of scanning the sequent.  No record of applied
+    instances is needed: no instance goes stale, and a Trans step needs no
+    bookkeeping, since the sequence holds every left-box step it enables
+    (module docstring).  No rule adds a formula at another label (facts (a)
+    and (b)), so the label is attached only to a formula that leaves the
+    branch: a rule's principal, an item a split added or a subtree used, and
+    the open branch the countermodel is read from.
 
     - ``label``: the active label; ``path``: the branches of the older labels
       that see it, root first, frozen at the leaves that made their
       successors; ``inherited``: the left boxes those labels hold, which
       with the Loeb box make the active label's key;
-    - ``boxes``: the left boxed formulas of the active label, as an
-      immutable value, so that a copy of the branch shares it; its leaf
-      sorts them by ``sort_key`` when it makes a successor;
-    - ``left``, ``right``: the labelled formulas at the active label;
+    - ``left``, ``right``: the formulas at ``label``;
     - ``agenda``: a heap of the instances of Init, LBot, RTop and the
-      propositional rules, as ``(rank, sort_key(f), rule, x:f)``, pushed as
-      formulas arrive; ``rank`` is the rule's place in the fixed order, and
-      x is the active label;
+      propositional rules, as ``(rank, sort_key(f), rule, f)``, pushed as
+      formulas arrive; ``rank`` is the rule's place in the fixed order;
     - ``sequence``: the active label's Trans and left-box steps, as
       ``(rule, principal)`` in the order they apply, fixed when its branch
-      starts, so that a copy shares them; ``cursor``: how many are taken.
+      starts, so that a copy shares them; ``cursor``: how many are taken;
+    - ``boxes``: the left boxes, sorted by ``sort_key``, set by
+      ``successor`` only: a successor's sequence reads them off each label
+      on its path.
     """
 
     __slots__ = ("label", "path", "inherited", "boxes", "left", "right", "agenda", "sequence", "cursor")
 
     def __init__(self, goal: Formula):
-        self.label, self.path, self.inherited, self.boxes = 0, (), frozenset(), ()
+        self.label, self.path, self.inherited = 0, (), frozenset()
         self.left, self.right = set(), set()
         self.agenda, self.sequence, self.cursor = [], (), 0
-        self.add(False, (0, goal))
+        self.add(False, goal)
 
     def copy(self) -> "_Branch":
         """A split's premise: the active label's part is copied, the rest shared."""
         new = object.__new__(_Branch)
-        new.label, new.path, new.inherited, new.boxes = self.label, self.path, self.inherited, self.boxes
+        new.label, new.path, new.inherited = self.label, self.path, self.inherited
         new.left, new.right, new.agenda = set(self.left), set(self.right), list(self.agenda)
         new.sequence, new.cursor = self.sequence, self.cursor
         return new
@@ -198,32 +201,29 @@ class _Branch:
         left-box from x and each such w, in the order of fact (b).
         ``inherited`` is x's left boxes and those of the labels that see x."""
         x = self.label
-        self.boxes = tuple(sorted(self.boxes, key=sort_key))
+        self.boxes = tuple(sorted([g for g in self.left if isinstance(g, Box)], key=sort_key))
         new = object.__new__(_Branch)
-        new.label, new.path, new.inherited, new.boxes = y, self.path + (self,), inherited, ()
+        new.label, new.path, new.inherited = y, self.path + (self,), inherited
         new.left, new.right, new.agenda, new.cursor = set(), set(), [], 0
         new.sequence = (*[(TRANS, (w.label, x, y)) for w in self.path],
                         *[(LBOX, (w.label, g, y)) for w in new.path for g in w.boxes])
-        new.add(True, (y, f))
-        new.add(False, (y, f.sub))
+        new.add(True, f)
+        new.add(False, f.sub)
         return new
 
-    def add(self, on_left: bool, item: LabelledFormula) -> bool:
-        """Add ``item`` to one side; whether it was new there.  A left box
+    def add(self, on_left: bool, f: Formula) -> bool:
+        """Add ``f`` to one side; whether it was new there.  A left box
         starts no left-box step: the active label has no successors until
         its leaf, and ``successor`` makes them there."""
         side, other = (self.left, self.right) if on_left else (self.right, self.left)
-        if item in side:
+        if f in side:
             return False
-        side.add(item)
-        f = item[1]
-        if item in other:
-            heappush(self.agenda, (_RANK[INIT], f.sort_key, INIT, item))
+        side.add(f)
+        if f in other:
+            heappush(self.agenda, (_RANK[INIT], f.sort_key, INIT, f))
         rule = _RULE_OF.get((on_left, type(f)))
         if rule is not None:
-            heappush(self.agenda, (_RANK[rule], f.sort_key, rule, item))
-        elif on_left and isinstance(f, Box):
-            self.boxes += (f,)
+            heappush(self.agenda, (_RANK[rule], f.sort_key, rule, f))
         return True
 
 
@@ -290,13 +290,6 @@ class _Searcher:
                 return entry
         return None
 
-    def closing_box(self, br: _Branch, inherited: frozenset):
-        """The least right box of the leaf ``br`` whose successor is closed in
-        the cache, with that entry: it closes the leaf at once."""
-        closing = [(item, entry) for item in br.right if isinstance(item[1], Box)
-                   for entry in [self.lookup(item[1], inherited)] if isinstance(entry, _Closed)]
-        return min(closing, key=lambda c: _lf_key(c[0])) if closing else None
-
     def fresh(self) -> int:
         y = self.next_label
         self.next_label += 1
@@ -310,29 +303,28 @@ class _Searcher:
         None is stale: a propositional principal leaves only as its own
         rule's principal, and only (w, x, y) adds wRy (facts (a) and (b))."""
         if br.agenda:
-            return heappop(br.agenda)[2:]
+            _, _, rule, f = heappop(br.agenda)
+            return rule, (br.label, f)
         if br.cursor < len(br.sequence):
             br.cursor += 1
             return br.sequence[br.cursor - 1]
         return None
 
-    def find_rboxlob(self, br: _Branch):
-        """The active label's right box the Loeb rule takes next, if any."""
-        candidates = [(x, f) for x, f in br.right if isinstance(f, Box)]
-        if not candidates:
-            return None
+    def find_rboxlob(self, br: _Branch) -> LabelledFormula:
+        """The right box of the saturated leaf ``br`` that the Loeb rule
+        takes next when none closes in the cache; the leaf has one."""
+        candidates = [f for f in br.right if isinstance(f, Box)]
         # the bodies are distinct, so a body occurs in another one exactly
         # when two bodies' subformulas count it
-        counts = Counter(g for _, f in candidates for g in children_first(f.sub))
+        counts = Counter(g for f in candidates for g in children_first(f.sub))
 
-        def heuristic(item: LabelledFormula) -> tuple:
-            x, f = item
+        def heuristic(f: Box) -> tuple:
             body = f.sub
             negated = 0 if isinstance(body, Not) else 1
             occurs = 0 if counts[body] > 1 else 1
-            return (negated, occurs, sort_key(body), x)
+            return (negated, occurs, sort_key(body))
 
-        return min(candidates, key=heuristic)
+        return br.label, min(candidates, key=heuristic)
 
     # -- rule application --
 
@@ -345,13 +337,13 @@ class _Searcher:
         on_left, _, decompose = _PROP_RULES[rule]
         x, f = principal
         parts = decompose(f)
-        (br.left if on_left else br.right).discard(principal)
+        (br.left if on_left else br.right).discard(f)
         if len(parts) == 1:
             for side, g in parts[0]:
-                br.add(side, (x, g))
+                br.add(side, g)
             return [br], None
         premises = [br.copy() for _ in parts[1:]] + [br]
-        added = [{(side, (x, g)) for side, g in part if premise.add(side, (x, g))}
+        added = [{(side, (x, g)) for side, g in part if premise.add(side, g)}
                  for premise, part in zip(premises, parts)]
         return premises, added
 
@@ -384,8 +376,9 @@ class _Searcher:
         while True:
             selected = self.find_next(br)
             if selected is None:  # a saturated leaf
-                rbox = self.find_rboxlob(br)
-                if rbox is None:  # every right box has an open successor
+                inherited = br.inherited.union([g for g in br.left if isinstance(g, Box)])
+                entries = {f: self.lookup(f, inherited) for f in br.right if isinstance(f, Box)}
+                if not entries:  # every right box has an open successor
                     entry = _Open(br, found)
                     if not below:
                         return self._open_branch(entry)
@@ -393,10 +386,13 @@ class _Searcher:
                     self.cache.setdefault(f, []).append(entry)
                     found.append((y, entry, False))
                     continue
-                inherited = br.inherited.union(br.boxes)
-                rbox, entry = self.closing_box(br, inherited) or (rbox, self.lookup(rbox[1], inherited))
+                # the least right box whose successor is closed in the cache
+                # closes the leaf at once; otherwise the heuristic chooses
+                closing = [f for f, entry in entries.items() if isinstance(entry, _Closed)]
+                rbox = (br.label, min(closing, key=sort_key)) if closing else self.find_rboxlob(br)
                 x, f = rbox
-                br.right.discard(rbox)
+                entry = entries[f]
+                br.right.discard(f)
                 y = self.fresh()
                 self.tick()
                 if entry is None:
@@ -409,7 +405,7 @@ class _Searcher:
                     found.append((y, entry, True))
                     continue
                 chain = br.path + (br,)
-                holders = {g: next(a.label for a in chain if g in a.boxes) for g in entry.boxes}
+                holders = {g: next(a.label for a in chain if g in a.left) for g in entry.boxes}
                 node = (RBOXLOB, (x, f, y), (_Reuse(entry, holders),))
                 used = {(True, (w, g)) for g, w in holders.items()}
                 used.add((False, rbox))
@@ -417,8 +413,7 @@ class _Searcher:
                 rule, principal = selected
                 self.tick()
                 if rule == LBOX:
-                    _, f, y = principal
-                    br.add(True, (y, f.sub))
+                    br.add(True, principal[1].sub)
                 elif rule in _PROP_RULES:
                     premises, added = self.apply_prop(br, rule, principal)
                     if added is not None:
@@ -544,13 +539,8 @@ class _Searcher:
         todo = [(root, 0, False, ())]  # (entry, its label, copied, the labels that see it)
         while todo:
             entry, x, copied, seers = todo.pop()
-            leaf = entry.leaf
-            if x == leaf.label:
-                left |= leaf.left
-                right |= leaf.right
-            else:
-                left.update((x, f) for _, f in leaf.left)
-                right.update((x, f) for _, f in leaf.right)
+            left.update((x, f) for f in entry.leaf.left)
+            right.update((x, f) for f in entry.leaf.right)
             rel.update((w, x) for w in seers)
             seers += (x,)
             for y, child, reused in entry.successors:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -18,7 +19,7 @@ from glprover.cli import main
 from glprover.hilbert import proof_to_json, verum_proof
 from glprover.semantics import holds, is_itf, model_from_json, model_to_json
 from glprover.sequent import check_derivation, derivation_from_json, derivation_to_json
-from glprover.syntax import FALSE, TRUE, And, Atom, Box, Formula, Iff, Imp, Not, Or, parse, pretty, subformulas
+from glprover.syntax import FALSE, TRUE, And, Atom, Box, Formula, Iff, Imp, Not, Or, ParseError, parse, pretty, subformulas
 from test_sequent import PROVE_CHAINS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -215,10 +216,34 @@ def test_unexpected_exception_exit_4(monkeypatch, capsys):
     assert "internal error: ValueError: boom" in capsys.readouterr().err
 
 
+def test_every_argument_has_help():
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [(name, action.dest) for name, parser in commands.choices.items()
+               for action in parser._actions if not action.help]
+    assert len(commands.choices) == 6 and missing == []
+
+
 def test_prove_formula_from_file(tmp_path):
     path = tmp_path / "f.gl"
     path.write_text(GL_AXIOM + "\n")
     assert main(["prove", "--file", str(path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [["prove"], ["oracle", "--max-worlds", "2"], ["henkin"]])
+def test_formula_file_not_utf8_exit_2(argv, tmp_path, capsys):
+    path = tmp_path / "f.gl"
+    path.write_bytes(b"\xff\xfe p")
+    assert main(argv + ["--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read formula file: 'utf-8' codec can't decode")
+    assert len(captured.err.splitlines()) == 1
+    # a file that decodes but does not parse keeps the parser's message
+    path.write_text("p &&")
+    with pytest.raises(ParseError) as bad:
+        parse("p &&")
+    assert main(argv + ["--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {bad.value}\n"
 
 
 def test_prove_inline_wins_over_file(tmp_path):

@@ -576,10 +576,8 @@ class _ScanningSearcher(_Searcher):
         if labels:
             rel.add((labels[-1], br.label))
         rel |= {(w, y) for rule, w, _, y in self.applied_on(br) if rule == TRANS}
-        left, right = set(br.left), set(br.right)
-        for a in br.path:
-            left |= a.left
-            right |= a.right
+        left = {(a.label, f) for a in (*br.path, br) for f in a.left}
+        right = {(a.label, f) for a in (*br.path, br) for f in a.right}
         return rel, left, right
 
     def apply_prop(self, br, rule, principal):
@@ -697,7 +695,7 @@ def test_indexed_selection_matches_scanning_reference(corpus, tier_formulas):
 def test_loeb_rule_takes_a_body_inside_another_body_first(corpus):
     # sort_key puts the And body before Box p, but Box p occurs in it
     br = _Branch(Box(Box(P)))
-    br.add(False, (0, Box(And(P, Box(P)))))
+    br.add(False, Box(And(P, Box(P))))
     assert _Searcher(1).find_rboxlob(br) == (0, Box(Box(P)))
     # right boxes whose bodies occur in one another, and the search that
     # ranks them, against the reference that scans every pair of bodies
